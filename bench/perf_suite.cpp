@@ -16,10 +16,10 @@
 ///     fill CSR construction).
 ///  4. compute_all_skylines thread scaling: the batched sweep at several
 ///     pool sizes, reported as speedup over one thread.
-///  5. mobility steady state: incremental maintenance (DynamicDiskGraph
-///     edge diffs + SkylineCache dirty-relay recomputation) vs a full
-///     per-step rebuild, across mobility regimes, with per-step
-///     bit-identity verified against the rebuild along the way.
+///  5. mobility steady state: incremental maintenance (ShardedEngine +
+///     ShardedSkylineCache at one shard per pool worker) vs a full
+///     per-step rebuild, across mobility regimes, with bit-identity
+///     verified against the rebuild along the way.
 ///  6. single-relay skyline SIMD dispatch: the workspace engine under the
 ///     runtime-dispatched kernels vs the same engine pinned to the scalar
 ///     reference kernels (ScopedKernelOverride), so a silent regression to
@@ -29,9 +29,10 @@
 ///     counts {1, 2, 4, 8}, each shard count on its own pool of that many
 ///     workers.  Reports recomputed relays/s, halo-node fraction, and
 ///     speedup_vs_1_shard; every other step a stride sample of relays is
-///     compared bit-for-bit against a single-engine SkylineCache that
-///     replayed the identical trajectory (recorded in an untimed pass), so
-///     the scaling numbers are for provably identical output.
+///     compared bit-for-bit against a from-scratch DiskGraph::build +
+///     compute_all_skylines of the identical trajectory (recorded in an
+///     untimed pass), so the scaling numbers are for provably identical
+///     output.
 ///
 /// The JSON header carries a provenance object (compiler, build flags,
 /// detected SIMD ISA, dispatch choice) so BENCH_history.jsonl deltas are
@@ -79,12 +80,11 @@
 #include "broadcast/forwarding.hpp"
 #include "broadcast/local_view.hpp"
 #include "broadcast/sharded_cache.hpp"
-#include "broadcast/skyline_cache.hpp"
 #include "core/skyline_dc.hpp"
 #include "core/skyline_reference.hpp"
 #include "geometry/angle.hpp"
 #include "geometry/simd.hpp"
-#include "net/dynamic_disk_graph.hpp"
+#include "net/disk_graph.hpp"
 #include "net/mobility.hpp"
 #include "net/sharded_engine.hpp"
 #include "net/topology.hpp"
@@ -677,13 +677,14 @@ int main(int argc, char** argv) {
 
   // --- 5. mobility steady state: incremental vs full rebuild ---------------
   // Random-waypoint motion on the ~1000-node heterogeneous deployment.  Each
-  // step is maintained twice: incrementally (DynamicDiskGraph::apply with
-  // the mover hint + SkylineCache::update) and from scratch (DiskGraph::
+  // step is maintained twice: incrementally (ShardedSkylineCache::step with
+  // the mover hint, one shard per pool worker) and from scratch (DiskGraph::
   // build + compute_all_skylines on the same pool).  Every 10th step the
   // cached forwarding sets are compared with the rebuild and the bench
   // aborts on any mismatch — the speedups below are for *bit-identical*
   // output.  Dirty-relay counts are reported so the speedup can be read
-  // against how much of the network each regime actually perturbs.
+  // against how much of the network each regime actually perturbs; edge
+  // flips are counted between consecutive rebuilt graphs.
   if (run_section("mobility_steady_state")) {
     const obs::TraceSpan section_span("bench.mobility_steady_state");
     struct MobilityRegime {
@@ -722,14 +723,18 @@ int main(int argc, char** argv) {
       p.target_avg_degree = 36.8;
       sim::Xoshiro256 rng(0x5EEDC0DEULL);
       net::MobileNetwork mobile(p, regime.wp, rng);
-      net::DynamicDiskGraph dyn{std::vector<net::Node>(
-          mobile.nodes().begin(), mobile.nodes().end())};
-      bcast::SkylineCache cache(dyn, pool);
+      net::ShardedEngine engine{
+          std::vector<net::Node>(mobile.nodes().begin(),
+                                 mobile.nodes().end()),
+          pool, {pool.size(), {{0.0, 0.0}, {p.side, p.side}}}};
+      bcast::ShardedSkylineCache cache(engine);
 
       for (int t = 0; t < warmup_steps; ++t) {
         mobile.step(1.0, rng);
-        cache.update(dyn.apply(mobile.nodes(), mobile.moved_last_step()));
+        cache.step(mobile.nodes(), mobile.moved_last_step());
       }
+      net::DiskGraph prev_g = net::DiskGraph::build(
+          std::vector<net::Node>(mobile.nodes().begin(), mobile.nodes().end()));
 
       const std::uint64_t dirty0 = cache.recompute_count();
       std::uint64_t moved_total = 0;
@@ -742,21 +747,18 @@ int main(int argc, char** argv) {
 
         const std::uint64_t a0 = allocations();
         const auto t0 = clock::now();
-        const auto& delta =
-            dyn.apply(mobile.nodes(), mobile.moved_last_step());
-        cache.update(delta);
+        cache.step(mobile.nodes(), mobile.moved_last_step());
         const auto t1 = clock::now();
         inc_ns += static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                 .count());
         inc_allocs += allocations() - a0;
-        moved_total += delta.moved.size();
-        flips_total += delta.edges_added + delta.edges_removed;
+        moved_total += mobile.moved_last_step().size();
 
         const auto t2 = clock::now();
         std::vector<net::Node> copy(mobile.nodes().begin(),
                                     mobile.nodes().end());
-        const net::DiskGraph fresh_g = net::DiskGraph::build(std::move(copy));
+        net::DiskGraph fresh_g = net::DiskGraph::build(std::move(copy));
         const bcast::AllSkylines fresh =
             bcast::compute_all_skylines(fresh_g, pool);
         const auto t3 = clock::now();
@@ -764,8 +766,11 @@ int main(int argc, char** argv) {
             std::chrono::duration_cast<std::chrono::nanoseconds>(t3 - t2)
                 .count());
 
+        flips_total += net::edge_flips(prev_g, fresh_g);
+        prev_g = std::move(fresh_g);
+
         if (t % 10 == 0) {
-          for (net::NodeId u = 0; u < dyn.size(); ++u) {
+          for (net::NodeId u = 0; u < cache.size(); ++u) {
             const auto got = cache.forwarding_set(u);
             const auto want = fresh.forwarding_set(u);
             if (!std::equal(got.begin(), got.end(), want.begin(),
@@ -792,7 +797,7 @@ int main(int argc, char** argv) {
 
       j.open_obj();
       j.field("regime", std::string(regime.name));
-      j.field("nodes", static_cast<std::uint64_t>(dyn.size()));
+      j.field("nodes", static_cast<std::uint64_t>(cache.size()));
       j.field("steps", static_cast<std::uint64_t>(steps));
       j.field("v_min", regime.wp.v_min);
       j.field("v_max", regime.wp.v_max);
@@ -821,10 +826,10 @@ int main(int argc, char** argv) {
   // speedup_vs_1_shard is the end-to-end decomposition + threading gain
   // (on a single-core host it measures oversubscription instead — read it
   // against provenance.hardware_concurrency).  Bit-identity: an untimed
-  // reference pass replays the identical trajectory (same seed) on a
-  // single-engine SkylineCache and records a stride sample of forwarding
-  // sets every other step; every sharded run is compared against the
-  // recording and the bench aborts on any divergence.
+  // reference pass replays the identical trajectory (same seed), rebuilds
+  // from scratch (DiskGraph::build + compute_all_skylines) every other step
+  // and records a stride sample of forwarding sets; every sharded run is
+  // compared against the recording and the bench aborts on any divergence.
   if (run_section("sharded_mobility")) {
     const obs::TraceSpan section_span("bench.sharded_mobility");
     const std::vector<std::size_t> node_targets =
@@ -846,23 +851,22 @@ int main(int argc, char** argv) {
       const std::uint64_t seed = 0x5EEDC0DEULL + target;
       const int steps = target >= 1000000 ? 3 : (target >= 100000 ? 6 : 10);
 
-      // Untimed reference pass: single engine, same trajectory; record a
-      // stride sample of forwarding sets at every check step.
+      // Untimed reference pass: same trajectory, rebuilt from scratch at
+      // every check step; record a stride sample of forwarding sets.
       std::vector<std::vector<std::vector<net::NodeId>>> recorded;
       std::size_t n_nodes = 0;
       std::size_t stride = 1;
       {
         sim::Xoshiro256 rng(seed);
         net::MobileNetwork mobile(p, wp, rng);
-        net::DynamicDiskGraph dyn{std::vector<net::Node>(
-            mobile.nodes().begin(), mobile.nodes().end())};
-        bcast::SkylineCache ref(dyn, pool);
-        n_nodes = dyn.size();
+        n_nodes = mobile.nodes().size();
         stride = std::max<std::size_t>(1, n_nodes / 2048);
         for (int t = 0; t < steps; ++t) {
           mobile.step(1.0, rng);
-          ref.update(dyn.apply(mobile.nodes(), mobile.moved_last_step()));
           if (t % kCheckEvery != 0) continue;
+          const net::DiskGraph g = net::DiskGraph::build(std::vector<net::Node>(
+              mobile.nodes().begin(), mobile.nodes().end()));
+          const bcast::AllSkylines ref = bcast::compute_all_skylines(g, pool);
           std::vector<std::vector<net::NodeId>> sample;
           for (std::size_t u = 0; u < n_nodes; u += stride) {
             const auto set =
@@ -907,8 +911,8 @@ int main(int argc, char** argv) {
             const auto& want = sample[si];
             if (!std::equal(got.begin(), got.end(), want.begin(),
                             want.end())) {
-              std::cerr << "FATAL: sharded cache diverged from single "
-                           "engine (nodes " << n_nodes << ", shards "
+              std::cerr << "FATAL: sharded cache diverged from rebuild "
+                           "(nodes " << n_nodes << ", shards "
                         << shards << ", step " << t << ", relay " << u
                         << ")\n";
               std::abort();

@@ -9,13 +9,14 @@
 /// one-period-stale 2-hop data fails to dominate the true 2-hop set,
 /// versus the skyline set which is always computed from fresh 1-hop data.
 ///
-/// The topology itself is maintained *incrementally*: a DynamicDiskGraph
-/// re-buckets only the nodes that moved and diffs only their links, and a
-/// SkylineCache recomputes only the relays whose 1-hop neighborhood
-/// actually changed — while staying bit-identical to a from-scratch sweep
-/// (that is the whole point of the 1-hop locality argument).  The example
-/// reports how many relays each period actually dirtied, and times the
-/// incremental step against a full rebuild.
+/// The topology itself is maintained *incrementally*: a net::ShardedEngine
+/// tiles the square into shards whose graphs re-bucket only the nodes that
+/// moved and diff only their links, and a bcast::ShardedSkylineCache
+/// recomputes only the relays whose 1-hop neighborhood actually changed —
+/// while staying bit-identical to a from-scratch sweep (that is the whole
+/// point of the 1-hop locality argument).  The example reports how many
+/// relays each period actually dirtied, and times the incremental step
+/// against a full rebuild.
 ///
 /// Usage: mobility_maintenance [periods] [speed] [seed]
 ///                              [--trace PATH] [--telemetry PATH]
@@ -23,22 +24,24 @@
 ///                              [--shards N] [--introspect PORT]
 ///                              [--blackbox PATH] [--profile PATH]
 ///
-/// --trace records the run as chrome://tracing trace events (graph.apply /
-/// cache.update spans per period); --telemetry dumps the process-wide
-/// mldcs-telemetry-v1 registry snapshot — dirty-relay histograms, slot
-/// overflows, compactions, pool busy time (docs/OBSERVABILITY.md).
+/// --trace records the run as chrome://tracing trace events (engine.step /
+/// graph.apply / cache.sharded_step spans per period); --telemetry dumps
+/// the process-wide mldcs-telemetry-v1 registry snapshot — dirty-relay
+/// histograms, slot overflows, compactions, pool busy time
+/// (docs/OBSERVABILITY.md).
 ///
-/// --events records the run in the flight recorder (kStep / kCacheUpdate
-/// causal chain per period) and writes the mldcs-events-v1 JSONL to PATH.
+/// --events records the run in the flight recorder (kShardExchange /
+/// kCacheUpdate causal chain per period) and writes the mldcs-events-v1
+/// JSONL to PATH.
 /// --watchdog K,M audits the skyline cache online: every K periods, M
 /// randomly sampled relays are recomputed from scratch and compared
 /// against the cached forwarding sets (obs/watchdog.hpp); the verdict is
 /// printed at the end and any mismatch makes the run exit 1.
 ///
-/// --shards N maintains the topology through the spatially sharded engine
-/// (net::ShardedEngine + bcast::ShardedSkylineCache) instead of the single
-/// DynamicDiskGraph — bit-identical forwarding sets, and the per-shard
-/// load table becomes visible to the observability surfaces below.
+/// --shards N sets the shard count (default: one per worker of the default
+/// pool; 1 = one whole-plane graph).  Forwarding sets are bit-identical at
+/// every N; the per-shard load table is visible to the observability
+/// surfaces below.
 ///
 /// --introspect PORT serves live introspection on 127.0.0.1:PORT (0 picks
 /// an ephemeral port, printed at startup): /metrics, /snapshot.json,
@@ -68,8 +71,7 @@
 #include "broadcast/cache_watchdog.hpp"
 #include "broadcast/forwarding.hpp"
 #include "broadcast/sharded_cache.hpp"
-#include "broadcast/skyline_cache.hpp"
-#include "net/dynamic_disk_graph.hpp"
+#include "net/disk_graph.hpp"
 #include "net/hello.hpp"
 #include "net/mobility.hpp"
 #include "net/sharded_engine.hpp"
@@ -105,7 +107,7 @@ int main(int argc, char** argv) {
   std::string blackbox_path;
   std::string profile_path;
   int introspect_port = -1;  // -1: server off; 0: ephemeral
-  std::size_t shards = 1;
+  std::size_t shards = 0;  // 0: one shard per pool worker
   std::uint32_t wd_period = 0;  // 0: watchdog off
   std::uint32_t wd_samples = 8;
   std::vector<std::string> pos;
@@ -219,33 +221,17 @@ int main(int argc, char** argv) {
   net::MobileNetwork mobile(p, wp, rng);
 
   sim::ThreadPool& pool = sim::default_pool();
-  // Maintenance stack: the single incremental engine, or the spatially
-  // sharded one behind --shards (same forwarding sets, same audit hooks).
-  std::optional<net::DynamicDiskGraph> dyn;
-  std::optional<bcast::SkylineCache> cache;
-  std::optional<net::ShardedEngine> engine;
-  std::optional<bcast::ShardedSkylineCache> sharded_cache;
-  const bool sharded = shards > 1;
-  if (sharded) {
-    net::ShardedEngine::Config cfg;
-    cfg.shards = shards;
-    cfg.deployment = {{0.0, 0.0}, {p.side, p.side}};
-    engine.emplace(
-        std::vector<net::Node>(mobile.nodes().begin(), mobile.nodes().end()),
-        pool, cfg);
-    sharded_cache.emplace(*engine);
-  } else {
-    dyn.emplace(
-        std::vector<net::Node>(mobile.nodes().begin(), mobile.nodes().end()));
-    cache.emplace(*dyn, pool);
-  }
+  net::ShardedEngine::Config cfg;
+  cfg.shards = shards;
+  cfg.deployment = {{0.0, 0.0}, {p.side, p.side}};
+  net::ShardedEngine engine(
+      std::vector<net::Node>(mobile.nodes().begin(), mobile.nodes().end()),
+      pool, cfg);
+  bcast::ShardedSkylineCache cache(engine);
   std::optional<obs::ConsistencyWatchdog> watchdog;
   if (wd_period > 0) {
-    const obs::ConsistencyWatchdog::Config wd_cfg{.period = wd_period,
-                                                  .samples = wd_samples};
-    watchdog.emplace(
-        sharded ? bcast::make_cache_watchdog(*sharded_cache, wd_cfg)
-                : bcast::make_cache_watchdog(*dyn, *cache, wd_cfg));
+    watchdog.emplace(bcast::make_cache_watchdog(
+        cache, {.period = wd_period, .samples = wd_samples}));
   }
 
   // /healthz mirrors the latest watchdog verdict through an atomic (the
@@ -273,7 +259,7 @@ int main(int argc, char** argv) {
   std::uint64_t bytes_2hop = 0;
   int stale_failures = 0;
   int checks = 0;
-  std::uint64_t edge_flips = 0;
+  std::uint64_t flips = 0;
   double incremental_s = 0.0;
   double rebuild_s = 0.0;
 
@@ -287,18 +273,9 @@ int main(int argc, char** argv) {
     // Incremental maintenance: diff the moved nodes' links, recompute only
     // the dirtied relays.
     const auto t_inc = std::chrono::steady_clock::now();
-    if (sharded) {
-      sharded_cache->step(mobile.nodes(), mobile.moved_last_step());
-      if (watchdog) {
-        watchdog->on_step(sharded_cache->last_update_event());
-      }
-    } else {
-      const auto& delta = dyn->apply(mobile.nodes(), mobile.moved_last_step());
-      cache->update(delta);
-      if (watchdog) watchdog->on_step(cache->last_update_event());
-      edge_flips += delta.edges_added + delta.edges_removed;
-    }
+    cache.step(mobile.nodes(), mobile.moved_last_step());
     if (watchdog) {
+      watchdog->on_step(cache.last_update_event());
       healthy.store(watchdog->clean(), std::memory_order_relaxed);
     }
     incremental_s += seconds_since(t_inc);
@@ -310,6 +287,8 @@ int main(int argc, char** argv) {
     const bcast::AllSkylines full = bcast::compute_all_skylines(now, pool);
     rebuild_s += seconds_since(t_full);
     static_cast<void>(full);
+
+    flips += net::edge_flips(prev, now);
 
     // Beacon cost this period.
     bytes_1hop += net::hello1_cost(now).bytes;
@@ -352,39 +331,23 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   const std::size_t node_count = mobile.nodes().size();
-  const std::uint64_t recomputes =
-      sharded ? sharded_cache->recompute_count() : cache->recompute_count();
-  std::uint64_t compactions = 0;
-  if (sharded) {
-    for (std::size_t s = 0; s < engine->shard_count(); ++s) {
-      compactions += sharded_cache->shard(s).compaction_count();
-    }
-  } else {
-    compactions = cache->compaction_count();
-  }
+  const std::uint64_t recomputes = cache.recompute_count();
   const double n = static_cast<double>(node_count);
   const double avg_dirty =
       periods > 0 ? static_cast<double>(recomputes) /
                         static_cast<double>(periods)
                   : 0.0;
   std::cout << "\nincremental maintenance over " << periods << " periods ("
-            << node_count << " nodes"
-            << (sharded ? ", " + std::to_string(engine->shard_count()) +
-                              " shards"
-                        : std::string())
-            << "):\n";
-  if (!sharded) {
-    std::cout << "  edge flips:          " << edge_flips << "\n";
-  } else {
-    std::cout << "  border migrations:   " << engine->migration_count()
-              << "\n"
-              << "  halo fraction:       "
-              << sim::format_double(engine->halo_fraction(), 3) << "\n";
-  }
-  std::cout << "  relays recomputed:   " << recomputes << " (avg "
+            << node_count << " nodes, " << engine.shard_count()
+            << (engine.shard_count() == 1 ? " shard" : " shards") << "):\n"
+            << "  edge flips:          " << flips << "\n"
+            << "  border migrations:   " << engine.migration_count() << "\n"
+            << "  halo fraction:       "
+            << sim::format_double(engine.halo_fraction(), 3) << "\n"
+            << "  relays recomputed:   " << recomputes << " (avg "
             << sim::format_double(avg_dirty, 1) << "/period, "
             << sim::format_double(100.0 * avg_dirty / n, 1) << "% of nodes)\n"
-            << "  store compactions:   " << compactions << "\n"
+            << "  store compactions:   " << cache.compaction_count() << "\n"
             << "  incremental step:    "
             << sim::format_double(1e3 * incremental_s / periods, 3)
             << " ms/period\n"

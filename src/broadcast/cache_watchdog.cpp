@@ -9,35 +9,10 @@
 namespace mldcs::bcast {
 
 obs::ConsistencyWatchdog make_cache_watchdog(
-    const net::DynamicDiskGraph& g, const SkylineCache& cache,
+    const ShardedSkylineCache& cache,
     obs::ConsistencyWatchdog::Config config) {
   // One shared scratch set per watchdog: checks are serial and rare
   // (samples per period), so a single workspace amortizes across them.
-  struct Scratch {
-    core::SkylineWorkspace ws;
-    std::vector<geom::Disk> disks;
-    std::vector<core::Arc> arcs;
-    std::vector<std::size_t> sky_set;
-    std::vector<net::NodeId> relay_ids;
-  };
-  auto scratch = std::make_shared<Scratch>();
-
-  auto reference = [&g, scratch](std::uint32_t u) {
-    Scratch& s = *scratch;
-    detail::relay_forwarding_set(g, u, s.ws, s.disks, s.arcs, s.sky_set,
-                                 s.relay_ids);
-    return s.relay_ids;
-  };
-  auto cached = [&cache](std::uint32_t u) {
-    const auto set = cache.forwarding_set(u);
-    return std::vector<std::uint32_t>(set.begin(), set.end());
-  };
-  return {g.size(), std::move(reference), std::move(cached), config};
-}
-
-obs::ConsistencyWatchdog make_cache_watchdog(
-    const ShardedSkylineCache& cache,
-    obs::ConsistencyWatchdog::Config config) {
   struct Scratch {
     core::SkylineWorkspace ws;
     std::vector<geom::Disk> disks;

@@ -5,7 +5,7 @@
 /// forwarding set straight from adjacency, using caller-owned scratch.
 ///
 /// Both whole-network engines — the one-shot `compute_all_skylines` and the
-/// incremental `SkylineCache` — run exactly this per relay, so the
+/// incremental `ShardCache` — run exactly this per relay, so the
 /// bit-identical guarantee between them reduces to sharing this function.
 /// Templated on the graph type (`net::DiskGraph` and `net::DynamicDiskGraph`
 /// expose the same node()/neighbors() surface).

@@ -12,17 +12,24 @@ namespace mldcs::bcast {
 
 namespace {
 
-/// Post-barrier maintenance telemetry, reported by the composite on the
-/// caller thread (shard updates themselves are lock-free and touch no
-/// registry).  Names are shared with the single-engine cache where the
-/// meaning coincides, so dashboards read both engines the same way.
+/// Maintenance telemetry (docs/OBSERVABILITY.md): per-step dirty-relay
+/// distribution, slot overflow / compaction churn, and the live/dead shape
+/// of the slotted stores.  Reported by the composite after the barrier, on
+/// the caller thread (shard updates themselves are lock-free and touch no
+/// registry).
 struct ShardedCacheTelemetry {
   obs::Counter& updates = obs::registry().counter("cache.updates");
   obs::Counter& dirty_relays = obs::registry().counter("cache.dirty_relays");
+  obs::Counter& slot_overflows =
+      obs::registry().counter("cache.slot_overflows");
+  obs::Counter& compactions = obs::registry().counter("cache.compactions");
   obs::Histogram& dirty_per_step =
       obs::registry().histogram("cache.dirty_relays_per_step");
   obs::Histogram& dirty_per_shard =
       obs::registry().histogram("cache.dirty_relays_per_shard");
+  obs::Gauge& store_size = obs::registry().gauge("cache.store_size");
+  obs::Gauge& live_ids = obs::registry().gauge("cache.live_ids");
+  obs::Gauge& dead_permille = obs::registry().gauge("cache.dead_permille");
 };
 
 ShardedCacheTelemetry& sharded_cache_telemetry() {
@@ -33,16 +40,12 @@ ShardedCacheTelemetry& sharded_cache_telemetry() {
 }  // namespace
 
 ShardCache::ShardCache(const net::DynamicDiskGraph& g, std::uint32_t shard,
-                       std::span<const std::uint32_t> owner_of, Config config)
-    : g_(&g), shard_(shard), owner_of_(owner_of), config_(config) {
+                       std::span<const std::uint32_t> owner_of)
+    : g_(&g), shard_(shard), owner_of_(owner_of) {
   const std::size_t n = g.size();
   slots_.resize(n);
   arc_counts_.assign(n, 0);
   in_dirty_.assign(n, 0);
-  committed_pos_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    committed_pos_[i] = g.node(static_cast<net::NodeId>(i)).pos;
-  }
   full_sweep();
 }
 
@@ -62,8 +65,7 @@ MLDCS_ALLOC_OK void ShardCache::full_sweep() {
 }
 
 MLDCS_HOT_PATH MLDCS_NO_LOCK void ShardCache::update(
-    const net::DynamicDiskGraph::StepDelta& delta,
-    std::span<const net::NodeId> migrated) {
+    const net::DynamicDiskGraph::StepDelta& delta) {
   const obs::PhaseScope phase(obs::Phase::kCacheRecompute);
   const net::DynamicDiskGraph& g = *g_;
   dirty_.clear();
@@ -76,26 +78,15 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void ShardCache::update(
     dirty_.push_back(w);
   };
 
-  const double tol2 = config_.position_tolerance * config_.position_tolerance;
   for (const net::NodeId u : delta.moved) {
-    // Same accumulation rule as SkylineCache: committed positions advance
-    // only when the move dirties.  Evicted movers fall through harmlessly —
-    // they own nothing here and their post-apply neighbor list is empty
-    // (the removals are in link_changed).
-    if (geom::distance2(committed_pos_[u], g.node(u).pos) <= tol2) continue;
-    committed_pos_[u] = g.node(u).pos;
+    // delta.moved holds only real position changes.  Evicted movers fall
+    // through harmlessly — they own nothing here and their post-apply
+    // neighbor list is empty (the removals are in link_changed).
     mark(u);
     for (const net::NodeId v : g.neighbors(u)) mark(v);
   }
+  // A flipped edge changes both endpoints' local disk sets.
   for (const net::NodeId w : delta.link_changed) mark(w);
-  // Ownership handovers: an arriving relay is recomputed even when its
-  // drift stayed under tolerance, so the new owner's slot is never stale
-  // (at tolerance 0 arrivals are already dirty and this is a no-op).
-  for (const net::NodeId u : migrated) {
-    if (owner_of_[u] != shard_) continue;
-    committed_pos_[u] = g.node(u).pos;
-    mark(u);
-  }
   std::sort(dirty_.begin(), dirty_.end());
   for (const net::NodeId w : dirty_) in_dirty_[w] = 0;
 
@@ -115,11 +106,7 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void ShardCache::recompute_marked() {
                                      relay_ids_);
     store(u, relay_ids_);
   }
-  if (dead_ids_ > 0 &&
-      static_cast<double>(dead_ids_) >
-          config_.compaction_threshold * static_cast<double>(ids_.size())) {
-    compact();
-  }
+  if (dead_ids_ > 0 && 2 * dead_ids_ > ids_.size()) compact();
 }
 
 MLDCS_HOT_PATH MLDCS_NO_LOCK void ShardCache::store(
@@ -133,7 +120,10 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void ShardCache::store(
     return;
   }
   // Outgrown: abandon the old slot and append a fresh one with new slack.
+  // cap == 0 means the slot was never assigned (initial sweep), not an
+  // overflow worth counting.
   // mldcs-analyze:allow(hot-no-alloc): member store growth, amortized
+  if (s.cap != 0) ++slot_overflows_;
   dead_ids_ += s.cap;
   s.begin = static_cast<std::uint32_t>(ids_.size());
   s.len = static_cast<std::uint32_t>(set.size());
@@ -170,8 +160,7 @@ MLDCS_ALLOC_OK void ShardCache::compact() {
   dead_ids_ = 0;
 }
 
-ShardedSkylineCache::ShardedSkylineCache(net::ShardedEngine& engine,
-                                         Config config)
+ShardedSkylineCache::ShardedSkylineCache(net::ShardedEngine& engine)
     : engine_(&engine) {
   // Eager registration (the PR 4 thread-pool fix): materialize the cache.*
   // series now, so a /snapshot.json taken before the first step already
@@ -182,10 +171,10 @@ ShardedSkylineCache::ShardedSkylineCache(net::ShardedEngine& engine,
   engine.pool().parallel_for(shards, [&](std::size_t s) {
     shards_[s] = std::make_unique<ShardCache>(
         engine_->shard_graph(s), static_cast<std::uint32_t>(s),
-        engine_->owner_map(), config);
+        engine_->owner_map());
   });
   engine.set_shard_hook([this](std::size_t s) {
-    shards_[s]->update(engine_->shard_delta(s), engine_->migrated_last_step());
+    shards_[s]->update(engine_->shard_delta(s));
     // Feed the observer load table (introspection /shards, blackbox
     // heartbeats) — one relaxed store into shard s's own slot.
     engine_->publish_shard_dirty(s, shards_[s]->last_dirty().size());
@@ -216,9 +205,27 @@ MLDCS_HOT_PATH void ShardedSkylineCache::step(
   t.updates.add();
   t.dirty_relays.add(last_dirty_count_);
   t.dirty_per_step.record(last_dirty_count_);
+  std::uint64_t overflows = 0;
+  std::uint64_t compactions = 0;
+  std::size_t store = 0;
+  std::size_t live = 0;
+  std::size_t dead = 0;
   for (const auto& sh : shards_) {
     t.dirty_per_shard.record(sh->last_dirty().size());
+    overflows += sh->slot_overflow_count();
+    compactions += sh->compaction_count();
+    store += sh->store_size();
+    live += sh->live_ids();
+    dead += sh->dead_ids();
   }
+  t.slot_overflows.add(overflows - reported_overflows_);
+  t.compactions.add(compactions - reported_compactions_);
+  reported_overflows_ = overflows;
+  reported_compactions_ = compactions;
+  t.store_size.set(static_cast<std::int64_t>(store));
+  t.live_ids.set(static_cast<std::int64_t>(live));
+  t.dead_permille.set(
+      store == 0 ? 0 : static_cast<std::int64_t>(1000 * dead / store));
 }
 
 std::size_t ShardedSkylineCache::total_forwarders() const {
@@ -232,6 +239,18 @@ std::size_t ShardedSkylineCache::total_forwarders() const {
 std::uint64_t ShardedSkylineCache::recompute_count() const noexcept {
   std::uint64_t total = 0;
   for (const auto& sh : shards_) total += sh->recompute_count();
+  return total;
+}
+
+std::uint64_t ShardedSkylineCache::compaction_count() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& sh : shards_) total += sh->compaction_count();
+  return total;
+}
+
+std::size_t ShardedSkylineCache::store_size() const noexcept {
+  std::size_t total = 0;
+  for (const auto& sh : shards_) total += sh->store_size();
   return total;
 }
 

@@ -4,21 +4,28 @@
 /// Sharded incremental MLDCS forwarding sets: one serial `ShardCache` per
 /// engine shard, recomputed inside the engine's per-step barrier.
 ///
-/// The single-engine `SkylineCache` parallelizes *within* one dirty set
-/// (chunked workers into one slotted store).  At deployment scale the
-/// better unit of parallelism is the shard: each `net::ShardedEngine` tile
-/// gets its own cache — private slotted arc store, private workspace,
-/// private dirty set — maintaining forwarding sets for exactly the relays
-/// the tile owns.  Because an owned relay's adjacency in its shard's
-/// region graph is identical to the whole-plane adjacency (sorted global
-/// NodeIds — the halo guarantee), the per-relay inner loop
-/// (relay_skyline.hpp) produces byte-identical sets, so
-/// `ShardedSkylineCache::forwarding_set(u)` — which reads the owner
-/// shard's store — equals the single-engine cache after every step.  Exact
-/// at position_tolerance 0; a positive tolerance keeps each shard
-/// internally consistent but lets committed positions drift from what one
-/// global cache would have (a relay that crosses a border is force-marked
-/// dirty on arrival so its new owner never serves a stale slot).
+/// This is the repository's one incremental maintenance path.  Each
+/// `net::ShardedEngine` tile gets its own cache — private slotted arc
+/// store, private workspace, private dirty set — maintaining forwarding
+/// sets for exactly the relays the tile owns:
+///
+///   dirty(w)  iff  w's 1-hop neighbor set changed (w is an endpoint of a
+///                  flipped edge), or w itself moved, or a current
+///                  neighbor of w did.
+///
+/// Because an owned relay's adjacency in its shard's region graph is
+/// identical to the whole-plane adjacency (sorted global NodeIds — the
+/// halo guarantee), the per-relay inner loop (relay_skyline.hpp) produces
+/// byte-identical sets, so `ShardedSkylineCache::forwarding_set(u)` —
+/// which reads the owner shard's store — equals a from-scratch
+/// `DiskGraph::build` + `compute_all_skylines` after every step, at every
+/// shard count.  A relay that crosses a tile border moved, so its new
+/// owner always recomputes it on arrival.
+///
+/// Recomputed sets are patched into the slotted store: every relay owns a
+/// stable slot with some slack, so a set that still fits is written in
+/// place and clean relays cost zero.  Slots that outgrow their slack are
+/// re-appended; once more than half the store is dead it is repacked.
 ///
 /// Concurrency contract: `ShardCache::update` runs on the engine's worker
 /// threads, one shard per call, with **zero cross-shard locking** — it is
@@ -26,7 +33,7 @@
 /// spans, no event log (all of which are lock-light but not lock-free to
 /// first-register).  Every counter it keeps is a plain member; the
 /// composite aggregates them and reports after the barrier, on the caller
-/// thread.
+/// thread, including the `cache.*` store series.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +45,6 @@
 #include "core/arc.hpp"
 #include "core/skyline_dc.hpp"
 #include "geometry/disk.hpp"
-#include "geometry/vec2.hpp"
 #include "net/dynamic_disk_graph.hpp"
 #include "net/node.hpp"
 #include "net/sharded_engine.hpp"
@@ -47,33 +53,22 @@
 namespace mldcs::bcast {
 
 /// One shard's forwarding-set cache: serial dirty-relay maintenance over a
-/// region-mode graph, restricted to the relays this shard owns.  Slot
+/// region graph, restricted to the relays this shard owns.  Slot
 /// indexing is by global NodeId (dense arrays of the full deployment size),
 /// so lookups need no id translation.
 class ShardCache {
  public:
-  struct Config {
-    /// Same meaning as SkylineCache::Config: 0 = exact maintenance.
-    double position_tolerance = 0.0;
-    /// Dead fraction of the slotted store that triggers compaction.
-    double compaction_threshold = 0.5;
-  };
-
   /// Full initial sweep over the relays `owner_of` assigns to `shard`.
   /// `g` (the shard's region graph) and the `owner_of` span (the engine's
   /// live owner map) must outlive the cache.
   ShardCache(const net::DynamicDiskGraph& g, std::uint32_t shard,
-             std::span<const std::uint32_t> owner_of, Config config);
+             std::span<const std::uint32_t> owner_of);
 
   /// Recompute the owned relays dirtied by this shard's `delta` (already
-  /// applied to the graph).  `migrated` is the engine's global migration
-  /// list for the step; arrivals into this shard are force-marked dirty so
-  /// ownership handover never serves a stale slot.  Serial, shard-local,
-  /// lock-free; steady-state allocation-free outside member-scratch
-  /// growth.
+  /// applied to the graph).  Serial, shard-local, lock-free; steady-state
+  /// allocation-free outside member-scratch growth.
   MLDCS_HOT_PATH MLDCS_NO_LOCK void update(
-      const net::DynamicDiskGraph::StepDelta& delta,
-      std::span<const net::NodeId> migrated);
+      const net::DynamicDiskGraph::StepDelta& delta);
 
   /// The cached forwarding set of relay `u`, sorted ascending.  Valid only
   /// while this shard owns `u` (the composite routes queries to owners).
@@ -101,7 +96,16 @@ class ShardCache {
   [[nodiscard]] std::uint64_t update_count() const noexcept {
     return updates_;
   }
+  /// Slots that outgrew their slack and were re-appended.
+  [[nodiscard]] std::uint64_t slot_overflow_count() const noexcept {
+    return slot_overflows_;
+  }
+  /// Slotted store size: live + slack + dead entries.
   [[nodiscard]] std::size_t store_size() const noexcept { return ids_.size(); }
+  /// Sum of slot lengths (owned forwarding-set cardinality).
+  [[nodiscard]] std::size_t live_ids() const noexcept { return live_ids_; }
+  /// Abandoned (outgrown) slot capacity awaiting compaction.
+  [[nodiscard]] std::size_t dead_ids() const noexcept { return dead_ids_; }
 
   /// Deliberately corrupt relay `u`'s slot (watchdog tests only).
   void corrupt_slot_for_testing(net::NodeId u);
@@ -113,7 +117,8 @@ class ShardCache {
     std::uint32_t cap = 0;
   };
 
-  /// Slot slack policy, identical to SkylineCache::cap_for.
+  /// Slot capacity policy: enough slack that typical set-size jitter under
+  /// motion stays in place.
   [[nodiscard]] static std::uint32_t cap_for(std::size_t len) noexcept {
     return static_cast<std::uint32_t>(len + len / 4 + 2);
   }
@@ -130,7 +135,6 @@ class ShardCache {
   const net::DynamicDiskGraph* g_;
   std::uint32_t shard_;
   std::span<const std::uint32_t> owner_of_;
-  Config config_;
 
   std::vector<Slot> slots_;
   std::vector<net::NodeId> ids_;
@@ -138,7 +142,6 @@ class ShardCache {
   std::size_t live_ids_ = 0;  ///< sum of slot lengths (store accounting)
   std::size_t dead_ids_ = 0;  ///< abandoned (outgrown) slot capacity
 
-  std::vector<geom::Vec2> committed_pos_;
   std::vector<net::NodeId> dirty_;
   std::vector<std::uint8_t> in_dirty_;
 
@@ -151,22 +154,19 @@ class ShardCache {
 
   std::uint64_t recomputes_ = 0;
   std::uint64_t compactions_ = 0;
+  std::uint64_t slot_overflows_ = 0;
   std::uint64_t updates_ = 0;
 };
 
 /// Whole-deployment forwarding sets over a ShardedEngine: one ShardCache
 /// per shard, updated inside the engine's step barrier via the shard hook,
-/// queried by owner routing.  Drop-in equivalent of the single-engine
-/// `SkylineCache` (same query surface, same kCacheUpdate event per step,
-/// bit-identical sets at tolerance 0).
+/// queried by owner routing; one kCacheUpdate event per step.
 class ShardedSkylineCache {
  public:
-  using Config = ShardCache::Config;
-
   /// Builds every shard's cache (initial sweeps run in parallel on the
   /// engine's pool) and installs the engine's shard hook.  The engine must
   /// outlive this cache, which must be the engine's only hook client.
-  explicit ShardedSkylineCache(net::ShardedEngine& engine, Config config = {});
+  explicit ShardedSkylineCache(net::ShardedEngine& engine);
   ~ShardedSkylineCache();
 
   ShardedSkylineCache(const ShardedSkylineCache&) = delete;
@@ -197,6 +197,10 @@ class ShardedSkylineCache {
     return last_dirty_count_;
   }
   [[nodiscard]] std::uint64_t recompute_count() const noexcept;
+  /// Store repacks across all shards.
+  [[nodiscard]] std::uint64_t compaction_count() const noexcept;
+  /// Slotted store size summed over shards.
+  [[nodiscard]] std::size_t store_size() const noexcept;
   [[nodiscard]] std::uint64_t update_count() const noexcept {
     return updates_;
   }
@@ -228,6 +232,10 @@ class ShardedSkylineCache {
   std::uint64_t updates_ = 0;
   std::uint64_t last_dirty_count_ = 0;
   std::uint64_t last_update_event_ = obs::kNoEvent;
+  /// Shard overflow / compaction totals already added to the cache.*
+  /// counters (the counters advance by the difference each step).
+  std::uint64_t reported_overflows_ = 0;
+  std::uint64_t reported_compactions_ = 0;
 };
 
 }  // namespace mldcs::bcast

@@ -20,6 +20,12 @@ struct BBox {
   Vec2 max{-std::numeric_limits<double>::infinity(),
            -std::numeric_limits<double>::infinity()};
 
+  /// The whole plane: contains every finite point.
+  [[nodiscard]] static BBox plane() noexcept {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    return {{-kInf, -kInf}, {kInf, kInf}};
+  }
+
   [[nodiscard]] bool empty() const noexcept {
     return min.x > max.x || min.y > max.y;
   }

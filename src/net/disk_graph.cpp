@@ -162,4 +162,28 @@ bool DiskGraph::connected() const {
   return reachable_from(0).size() == nodes_.size();
 }
 
+std::size_t edge_flips(const DiskGraph& before, const DiskGraph& after) {
+  std::size_t diff = 0;
+  for (NodeId u = 0; u < after.size(); ++u) {
+    const auto a = before.neighbors(u);
+    const auto b = after.neighbors(u);
+    std::size_t i = 0;
+    std::size_t k = 0;
+    std::size_t common = 0;
+    while (i < a.size() && k < b.size()) {
+      if (a[i] < b[k]) {
+        ++i;
+      } else if (b[k] < a[i]) {
+        ++k;
+      } else {
+        ++common;
+        ++i;
+        ++k;
+      }
+    }
+    diff += a.size() + b.size() - 2 * common;
+  }
+  return diff / 2;  // each flip is seen from both endpoints
+}
+
 }  // namespace mldcs::net

@@ -75,4 +75,9 @@ class DiskGraph {
   std::vector<NodeId> adjacency_;       ///< neighbor lists, sorted per node
 };
 
+/// Links present in exactly one of two graphs over the same node set: the
+/// edges that flipped between two snapshots, each counted once.
+[[nodiscard]] std::size_t edge_flips(const DiskGraph& before,
+                                     const DiskGraph& after);
+
 }  // namespace mldcs::net

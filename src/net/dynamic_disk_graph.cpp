@@ -6,47 +6,13 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace mldcs::net {
 
-namespace {
-
-/// Topology-maintenance telemetry (docs/OBSERVABILITY.md): how much of the
-/// network each step actually perturbs — movers, grid re-buckets, link
-/// flips — the denominators for reading SkylineCache dirty fractions.
-struct GraphTelemetry {
-  obs::Counter& steps = obs::registry().counter("graph.steps");
-  obs::Counter& movers = obs::registry().counter("graph.movers");
-  obs::Counter& rebucketed = obs::registry().counter("graph.rebucketed");
-  obs::Counter& edges_added = obs::registry().counter("graph.edges_added");
-  obs::Counter& edges_removed =
-      obs::registry().counter("graph.edges_removed");
-  obs::Histogram& movers_per_step =
-      obs::registry().histogram("graph.movers_per_step");
-  obs::Histogram& flips_per_step =
-      obs::registry().histogram("graph.link_flips_per_step");
-};
-
-GraphTelemetry& graph_telemetry() {
-  static GraphTelemetry t;
-  return t;
-}
-
-}  // namespace
-
-DynamicDiskGraph::DynamicDiskGraph(std::vector<Node> nodes) {
-  init(std::move(nodes));
-}
-
 DynamicDiskGraph::DynamicDiskGraph(std::vector<Node> nodes,
                                    const geom::BBox& interest)
-    : region_mode_(true), interest_(interest) {
-  init(std::move(nodes));
-}
-
-void DynamicDiskGraph::init(std::vector<Node> nodes) {
+    : interest_(interest) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     nodes[i].id = static_cast<NodeId>(i);
   }
@@ -77,14 +43,10 @@ void DynamicDiskGraph::init(std::vector<Node> nodes) {
   ny_ = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::floor((max_y - min_y) / cell_)) + 1);
 
-  resident_.assign(n, 1);
-  resident_count_ = n;
-  if (region_mode_) {
-    resident_count_ = 0;
-    for (const Node& node : nodes_) {
-      resident_[node.id] = interest_.contains(node.pos) ? 1 : 0;
-      resident_count_ += resident_[node.id];
-    }
+  resident_.resize(n);
+  for (const Node& node : nodes_) {
+    resident_[node.id] = interest_.contains(node.pos) ? 1 : 0;
+    resident_count_ += resident_[node.id];
   }
 
   buckets_.assign(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_),
@@ -156,9 +118,6 @@ void DynamicDiskGraph::rebucket(NodeId u, geom::Vec2 new_pos) {
   const std::size_t new_cell = cell_of(new_pos);
   const std::size_t old_cell = bucket_of_[u];
   if (new_cell == old_cell) return;
-  // Shard graphs step concurrently and report through shard.* counters
-  // instead (and must not race to first-initialize the registry entries).
-  if (!region_mode_) graph_telemetry().rebucketed.add();
   std::vector<NodeId>& old_bucket = buckets_[old_cell];
   // Bucket order is irrelevant to correctness (adjacency lists are sorted
   // after the exact-distance filter), so swap-erase keeps removal O(1).
@@ -197,11 +156,14 @@ MLDCS_HOT_PATH const DynamicDiskGraph::StepDelta& DynamicDiskGraph::apply(
 
 MLDCS_HOT_PATH void DynamicDiskGraph::classify_movers(
     std::span<const Node> current) {
-  // Rewrite delta_.moved in place, keeping only movers that touch the
-  // interest rectangle and recording each survivor's kind in in_moved_
-  // (1 = move or insert, 2 = evict).  Order — hence sortedness — is kept.
+  // Rewrite delta_.moved in place, keeping only movers whose position
+  // changed and that touch the interest rectangle, and recording each
+  // survivor's kind in in_moved_ (1 = move or insert, 2 = evict).  Order —
+  // hence sortedness — is kept.  An unchanged position is a no-op even for
+  // a non-resident slot: its stale position lies outside the region.
   std::size_t w = 0;
   for (const NodeId u : delta_.moved) {
+    if (current[u].pos == nodes_[u].pos) continue;  // hinted, but hovered
     const bool was = resident_[u] != 0;
     const bool now = interest_.contains(current[u].pos);
     if (!was && !now) continue;  // passed by outside: not our node
@@ -219,13 +181,13 @@ DynamicDiskGraph::apply_moved(
   delta_.edges_added = 0;
   delta_.edges_removed = 0;
 
-  if (region_mode_) classify_movers(current);
+  classify_movers(current);
 
   // Phase 1: commit every moved position and re-bucket, so phase 2's grid
-  // queries and symmetric linked_to tests all see the new geometry.  In
-  // region mode this is also where residency flips: an entering node gets a
-  // fresh bucket slot, a leaving node loses its slot (so no later grid
-  // query can see it) and keeps in_moved_ == 2 for phase 2.
+  // queries and symmetric linked_to tests all see the new geometry.  This
+  // is also where residency flips: an entering node gets a fresh bucket
+  // slot, a leaving node loses its slot (so no later grid query can see
+  // it) and keeps in_moved_ == 2 for phase 2.
   for (const NodeId u : delta_.moved) {
     assert(current[u].radius == nodes_[u].radius &&
            "apply: radii are fixed under mobility");
@@ -310,35 +272,14 @@ DynamicDiskGraph::apply_moved(
       std::unique(delta_.link_changed.begin(), delta_.link_changed.end()),
       delta_.link_changed.end());
 
-  ++steps_;
-  if (region_mode_) {
-    // Shard steps run concurrently: no global counters, and the engine
-    // emits one kShardExchange event for the whole barrier instead of a
-    // kStep per shard.
-    delta_.event_id = obs::kNoEvent;
-    return delta_;
-  }
-
-  GraphTelemetry& t = graph_telemetry();
-  t.steps.add();
-  t.movers.add(delta_.moved.size());
-  t.edges_added.add(delta_.edges_added);
-  t.edges_removed.add(delta_.edges_removed);
-  t.movers_per_step.record(delta_.moved.size());
-  t.flips_per_step.record(delta_.edges_added + delta_.edges_removed);
-
-  delta_.event_id = obs::emit_event(
-      obs::EventType::kStep, static_cast<std::uint32_t>(delta_.moved.size()),
-      static_cast<std::uint32_t>(delta_.link_changed.size()), obs::kNoEvent,
-      steps_);
   return delta_;
 }
 
 DiskGraph DynamicDiskGraph::to_disk_graph() const {
-  if (region_mode_) {
+  if (resident_count_ != nodes_.size()) {
     throw std::logic_error(
-        "DynamicDiskGraph::to_disk_graph: region graphs hold stale "
-        "positions for non-resident slots; snapshot the whole-plane graph");
+        "DynamicDiskGraph::to_disk_graph: non-resident slots hold stale "
+        "positions; snapshot a graph whose region holds every node");
   }
   return DiskGraph::from_adjacency(
       std::vector<Node>(nodes_.begin(), nodes_.end()), adjacency_);

@@ -17,25 +17,28 @@
 ///
 /// Every `apply` returns a `StepDelta` naming the moved nodes and the
 /// endpoints of flipped edges — exactly the information a cached-skyline
-/// layer (bcast::SkylineCache) needs to recompute only dirty relays.  The
-/// maintained adjacency is always identical to what `DiskGraph::build`
-/// would produce on the current positions (differential-tested in
-/// tests/net/dynamic_disk_graph_test.cpp).
+/// layer (bcast::ShardCache) needs to recompute only dirty relays.
 ///
-/// **Region mode** (the shard substrate of net::ShardedEngine): constructed
-/// with an interest rectangle, the graph keeps every node *slot* (ids stay
-/// global) but only nodes inside the rectangle are *resident* — bucketed in
-/// the grid with maintained adjacency.  `apply` then classifies each hinted
+/// **Interest region.**  The graph keeps every node *slot* (ids stay
+/// global) but only nodes inside its interest rectangle are *resident* —
+/// bucketed in the grid with maintained adjacency.  The rectangle defaults
+/// to the whole plane, where every node is resident and the adjacency is
+/// always identical to what `DiskGraph::build` would produce on the
+/// current positions (differential-tested in
+/// tests/net/dynamic_disk_graph_test.cpp).  `apply` classifies each hinted
 /// mover by (was resident, new position in region): stay → ordinary move,
 /// enter → insertion (adjacency grown from empty via the same edge diff),
 /// leave → eviction (adjacency diffed to empty, bucket slot dropped), and
-/// movers that never touch the region are ignored.  Non-resident nodes have
-/// empty neighbor lists and may hold stale positions; residents' adjacency
-/// — restricted to resident endpoints — is exact.  When the interest
-/// rectangle is a tile dilated by the deployment's maximum radius, every
-/// node inside the tile has its complete 1-hop set resident (a link spans
-/// at most max radius), which is the halo-correctness guarantee the
-/// sharded skyline cache is built on.
+/// movers that never touch the region are ignored.  Non-resident nodes
+/// have empty neighbor lists and may hold stale positions; residents'
+/// adjacency — restricted to resident endpoints — is exact.  When the
+/// interest rectangle is a tile dilated by the deployment's maximum
+/// radius, every node inside the tile has its complete 1-hop set resident
+/// (a link spans at most max radius), which is the halo-correctness
+/// guarantee net::ShardedEngine and the sharded skyline cache are built
+/// on.  Graphs step concurrently (one per shard), so `apply` touches no
+/// global telemetry and emits no events; the engine reports for all of
+/// them.
 
 #include <cstdint>
 #include <span>
@@ -45,7 +48,6 @@
 #include "geometry/bbox.hpp"
 #include "net/disk_graph.hpp"
 #include "net/node.hpp"
-#include "obs/event_log.hpp"
 
 namespace mldcs::net {
 
@@ -62,34 +64,27 @@ class DynamicDiskGraph {
     std::vector<NodeId> link_changed;
     std::size_t edges_added = 0;
     std::size_t edges_removed = 0;
-    /// Flight-recorder id of this step's kStep event (obs::kNoEvent when
-    /// event collection is disarmed) — the causal parent for downstream
-    /// kCacheUpdate events.
-    std::uint64_t event_id = obs::kNoEvent;
 
     [[nodiscard]] bool empty() const noexcept {
       return moved.empty() && link_changed.empty();
     }
   };
 
-  /// Build the initial topology.  Node ids are reassigned to indices, as in
-  /// `DiskGraph::build`.
-  explicit DynamicDiskGraph(std::vector<Node> nodes);
+  /// Build the initial topology over the nodes inside `interest` (default:
+  /// the whole plane).  Every node keeps a slot — ids are reassigned to
+  /// indices into the full deployment, as in `DiskGraph::build` — and grid
+  /// geometry (cell size, extent) is computed from the full deployment, so
+  /// shard grids agree with a whole-plane one.  See the file comment.
+  explicit DynamicDiskGraph(std::vector<Node> nodes,
+                            const geom::BBox& interest = geom::BBox::plane());
 
-  /// Region mode: keep a slot for every node (ids are still indices into the
-  /// full deployment) but bucket and link only the nodes inside `interest`.
-  /// Grid geometry (cell size, extent) is computed from the full deployment,
-  /// so shard grids agree with the global one.  See the file comment.
-  DynamicDiskGraph(std::vector<Node> nodes, const geom::BBox& interest);
-
-  [[nodiscard]] bool region_mode() const noexcept { return region_mode_; }
   [[nodiscard]] const geom::BBox& interest() const noexcept {
     return interest_;
   }
 
-  /// True if `id` is currently inside this graph's interest region (always
-  /// true in whole-plane mode).  Non-resident nodes have empty neighbor
-  /// lists and possibly stale positions.
+  /// True if `id` is currently inside this graph's interest region.
+  /// Non-resident nodes have empty neighbor lists and possibly stale
+  /// positions.
   [[nodiscard]] bool resident(NodeId id) const noexcept {
     return resident_[id] != 0;
   }
@@ -117,9 +112,6 @@ class DynamicDiskGraph {
 
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_; }
 
-  /// Mobility steps applied so far (the `value` of emitted kStep events).
-  [[nodiscard]] std::uint64_t step_count() const noexcept { return steps_; }
-
   [[nodiscard]] double average_degree() const noexcept {
     return nodes_.empty() ? 0.0
                           : 2.0 * static_cast<double>(edges_) /
@@ -127,26 +119,22 @@ class DynamicDiskGraph {
   }
 
   /// Move nodes to the positions in `current` (same size and order as
-  /// `nodes()`; radii must be unchanged).  Nodes whose position differs are
-  /// re-bucketed if their grid cell changed, their adjacency lists are
-  /// recomputed from the grid, and the resulting edge diffs are patched
-  /// into the unmoved endpoints' lists.  Returns the delta of this step;
-  /// the reference stays valid until the next `apply`.
-  ///
-  /// In region mode each mover is first classified against the interest
-  /// rectangle (move / insert / evict / ignore); `delta.moved` then lists
-  /// only the movers that touched the region, and evicted nodes appear in
-  /// `moved` with their links torn down in `link_changed`.  Region-mode
-  /// steps emit no kStep event and touch no global telemetry — many shard
-  /// graphs step concurrently, and the sharded engine reports for all of
-  /// them (`delta.event_id` stays obs::kNoEvent).
+  /// `nodes()`; radii must be unchanged).  Each mover is first classified
+  /// against the interest rectangle (move / insert / evict / ignore); movers
+  /// that stay resident are re-bucketed if their grid cell changed, their
+  /// adjacency lists are recomputed from the grid, and the resulting edge
+  /// diffs are patched into the unmoved endpoints' lists.  Returns the
+  /// delta of this step: `delta.moved` lists only the movers that touched
+  /// the region, and evicted nodes appear in `moved` with their links torn
+  /// down in `link_changed`.  The reference stays valid until the next
+  /// `apply`.
   MLDCS_HOT_PATH const StepDelta& apply(std::span<const Node> current);
 
   /// Same, with the moved set supplied by the caller (e.g.
   /// `MobileNetwork::moved_last_step()`), skipping the O(n) change scan.
-  /// Ids not in `moved_hint` must be unchanged in `current` (region mode:
-  /// hints whose old and new positions are both outside the region are
-  /// permitted and ignored).
+  /// Ids not in `moved_hint` must be unchanged in `current`; hinted ids
+  /// whose position did not change, or whose old and new positions are
+  /// both outside the region, are dropped from the delta.
   MLDCS_HOT_PATH const StepDelta& apply(
       std::span<const Node> current, std::span<const NodeId> moved_hint);
 
@@ -156,12 +144,11 @@ class DynamicDiskGraph {
 
   /// Materialize the current topology as an immutable CSR `DiskGraph`
   /// (O(edges) copy of the maintained adjacency — no grid rebuild).
-  /// Whole-plane mode only: a region graph's non-resident slots hold stale
-  /// positions, so the snapshot would be meaningless (throws).
+  /// Requires every node to be resident: a non-resident slot holds a stale
+  /// position, so the snapshot would be meaningless (throws).
   [[nodiscard]] DiskGraph to_disk_graph() const;
 
  private:
-  void init(std::vector<Node> nodes);
   MLDCS_HOT_PATH const StepDelta& apply_moved(std::span<const Node> current);
   MLDCS_HOT_PATH void classify_movers(std::span<const Node> current);
   [[nodiscard]] std::size_t cell_of(geom::Vec2 p) const noexcept;
@@ -172,12 +159,8 @@ class DynamicDiskGraph {
   std::vector<Node> nodes_;
   std::vector<std::vector<NodeId>> adjacency_;  ///< sorted per node
   std::size_t edges_ = 0;
-  std::uint64_t steps_ = 0;
 
-  // Region mode (see file comment).  resident_ is all-ones in whole-plane
-  // mode so `resident()` needs no branch.
-  bool region_mode_ = false;
-  geom::BBox interest_{};
+  geom::BBox interest_;
   std::vector<std::uint8_t> resident_;
   std::size_t resident_count_ = 0;
 

@@ -64,7 +64,7 @@ class MobileNetwork {
 
   /// Ids of nodes whose position changed in the last step() call, ascending
   /// (paused nodes don't appear) — the moved-set hint for
-  /// DynamicDiskGraph::apply.  Empty before the first step.
+  /// ShardedEngine::step.  Empty before the first step.
   [[nodiscard]] std::span<const NodeId> moved_last_step() const noexcept {
     return moved_;
   }

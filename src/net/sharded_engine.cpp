@@ -1,7 +1,6 @@
 #include "net/sharded_engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -42,6 +41,17 @@ std::uint64_t now_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// Tile band of one coordinate: floor(offset / side) clamped to
+/// [0, count - 1] before the integer cast, so a position far outside the
+/// deployment, or a zero-extent axis (quotient NaN or inf), lands in a
+/// border band.
+std::size_t band_of(double offset, double side, std::size_t count) {
+  const double k = std::floor(offset / side);
+  if (!(k > 0.0)) return 0;
+  return static_cast<std::size_t>(
+      std::min(k, static_cast<double>(count - 1)));
 }
 
 /// Factor `shards` into rows*cols so tiles stay as square as the
@@ -89,14 +99,9 @@ ShardedEngine::ShardedEngine(std::vector<Node> nodes, sim::ThreadPool& pool,
   }
   if (n == 0) positions = {{0.0, 0.0}, {0.0, 0.0}};
   deployment_ = config.deployment.empty() ? positions : config.deployment;
-  for (const Node& node : nodes_) {
-    if (!deployment_.contains(node.pos)) {
-      throw std::invalid_argument(
-          "ShardedEngine: initial position outside the deployment rectangle");
-    }
-  }
 
-  const std::size_t shards = std::max<std::size_t>(1, config.shards);
+  const std::size_t shards =
+      config.shards == 0 ? pool.size() : config.shards;
   choose_grid(shards, deployment_.width(), deployment_.height(), rows_, cols_);
   tile_w_ = deployment_.width() / static_cast<double>(cols_);
   tile_h_ = deployment_.height() / static_cast<double>(rows_);
@@ -111,8 +116,10 @@ ShardedEngine::ShardedEngine(std::vector<Node> nodes, sim::ThreadPool& pool,
 
   // Region = tile dilated by the max radius: every link of an owned node
   // fits inside (a link spans at most max_radius), so owned adjacency is
-  // complete.  Shard construction is embarrassingly parallel — each builds
-  // its own grid and resident adjacency from a private copy of the nodes.
+  // complete.  Outer tiles also own every position clamped onto them, so
+  // their regions are unbounded on the outward sides.  Shard construction
+  // is embarrassingly parallel — each builds its own grid and resident
+  // adjacency from a private copy of the nodes.
   shards_.resize(shards);
   pool_->parallel_for(shards, [this](std::size_t s) {
     const std::size_t r = s / cols_;
@@ -122,9 +129,14 @@ ShardedEngine::ShardedEngine(std::vector<Node> nodes, sim::ThreadPool& pool,
          deployment_.min.y + static_cast<double>(r) * tile_h_},
         {deployment_.min.x + static_cast<double>(c + 1) * tile_w_,
          deployment_.min.y + static_cast<double>(r + 1) * tile_h_}};
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    geom::BBox region = tile.inflated(max_radius_);
+    if (c == 0) region.min.x = -kInf;
+    if (c + 1 == cols_) region.max.x = kInf;
+    if (r == 0) region.min.y = -kInf;
+    if (r + 1 == rows_) region.max.y = kInf;
     shards_[s] = std::make_unique<Shard>(
-        std::vector<Node>(nodes_.begin(), nodes_.end()),
-        tile.inflated(max_radius_));
+        std::vector<Node>(nodes_.begin(), nodes_.end()), region);
   });
 
   // Eager registration: touching shard_telemetry() here materializes every
@@ -166,20 +178,9 @@ ShardedEngine::~ShardedEngine() {
 }
 
 std::uint32_t ShardedEngine::tile_of(geom::Vec2 p) const noexcept {
-  std::int64_t cx = 0;
-  std::int64_t cy = 0;
-  if (cols_ > 1) {
-    cx = static_cast<std::int64_t>(
-        std::floor((p.x - deployment_.min.x) / tile_w_));
-    cx = std::clamp<std::int64_t>(cx, 0, static_cast<std::int64_t>(cols_) - 1);
-  }
-  if (rows_ > 1) {
-    cy = static_cast<std::int64_t>(
-        std::floor((p.y - deployment_.min.y) / tile_h_));
-    cy = std::clamp<std::int64_t>(cy, 0, static_cast<std::int64_t>(rows_) - 1);
-  }
   return static_cast<std::uint32_t>(
-      cy * static_cast<std::int64_t>(cols_) + cx);
+      band_of(p.y - deployment_.min.y, tile_h_, rows_) * cols_ +
+      band_of(p.x - deployment_.min.x, tile_w_, cols_));
 }
 
 double ShardedEngine::halo_fraction() const noexcept {
@@ -204,8 +205,6 @@ MLDCS_HOT_PATH void ShardedEngine::step(std::span<const Node> current,
     const obs::PhaseScope phase(obs::Phase::kStepOwnership);
     migrated_.clear();
     for (const NodeId u : moved_hint) {
-      assert(deployment_.contains(current[u].pos) &&
-             "ShardedEngine::step: position escaped the deployment rectangle");
       const std::uint32_t t = tile_of(current[u].pos);
       const std::uint32_t prev = owner_of_[u];
       if (t != prev) {

@@ -1,13 +1,13 @@
 #pragma once
 
 /// \file sharded_engine.hpp
-/// Spatially sharded topology maintenance: an R×C tile grid of region-mode
+/// Spatially sharded topology maintenance: an R×C tile grid of region
 /// `DynamicDiskGraph`s stepped in parallel with halo exchange.
 ///
 /// The paper's local-disk-cover premise (Section 3: a relay's MLDCS depends
 /// only on its 1-hop disk set) makes whole-network maintenance spatially
 /// decomposable: partition the deployment rectangle into R×C tiles, give
-/// each tile's shard a region-mode graph whose interest rectangle is the
+/// each tile's shard a region graph whose interest rectangle is the
 /// tile dilated by the deployment's maximum radius, and every node *owned*
 /// by a tile (positioned inside it) has its complete 1-hop neighborhood
 /// resident in that shard — a link spans at most max radius.  The dilation
@@ -32,18 +32,19 @@
 ///  3. **Position commit + report (serial):** global committed positions
 ///     advance, per-shard halo/exchange/barrier-wait telemetry is recorded,
 ///     and one kShardExchange event is emitted (the step-level causal
-///     parent — region graphs do not emit per-shard kStep events).
+///     parent; shard graphs emit no events of their own).
 ///
 /// Owned-relay adjacency in a shard is identical (same sorted global
-/// NodeIds) to the whole-plane graph's, which is what makes the sharded
-/// skyline cache bit-identical to the single-engine one (see
+/// NodeIds) to the whole-plane adjacency, which is what makes the sharded
+/// skyline cache bit-identical to a from-scratch `DiskGraph::build` +
+/// `compute_all_skylines` at every shard count (see
 /// broadcast/sharded_cache.hpp and tests/net/sharded_engine_test.cpp).
 ///
-/// Contract: every position the run ever produces must lie inside the
-/// deployment rectangle (mobility models here confine nodes to the square;
-/// the constructor rejects initial positions outside it).  A node outside
-/// the rectangle could drift beyond its owner tile's dilation band and lose
-/// sight of its neighborhood.
+/// Positions are unconstrained: the deployment rectangle only shapes the
+/// tiles.  A node outside it is owned by the border tile its position
+/// clamps onto, and the outer tiles' regions extend without bound on their
+/// outward sides, so that owner still holds the node's whole 1-hop set.
+/// With one shard the region is the whole plane.
 
 #include <atomic>
 #include <cstddef>
@@ -62,17 +63,17 @@
 
 namespace mldcs::net {
 
-/// Tiled fleet of region-mode DynamicDiskGraphs stepped in parallel.
+/// Tiled fleet of region DynamicDiskGraphs stepped in parallel.
 class ShardedEngine {
  public:
   struct Config {
     /// Target shard count; factored into an R×C grid that keeps tiles as
-    /// close to square as the deployment aspect allows (0 treated as 1).
-    std::size_t shards = 1;
-    /// Deployment rectangle that bounds every position for the whole run.
-    /// Empty (the default) means the bounding box of the initial positions
-    /// — only safe for static or in-place workloads; mobility callers pass
-    /// the full deployment square.
+    /// close to square as the deployment aspect allows.  0 (the default)
+    /// means one shard per pool worker.
+    std::size_t shards = 0;
+    /// Rectangle the tile grid divides.  Empty (the default) means the
+    /// bounding box of the initial positions; mobility callers pass the
+    /// deployment square so tiles stay balanced as nodes spread.
     geom::BBox deployment{};
   };
 
@@ -100,7 +101,8 @@ class ShardedEngine {
   /// Committed global positions (advanced at the end of each step).
   [[nodiscard]] std::span<const Node> nodes() const noexcept { return nodes_; }
 
-  /// Shard `s`'s region graph (region = tile dilated by max radius).
+  /// Shard `s`'s region graph (region = tile dilated by max radius,
+  /// unbounded on the grid's outer sides).
   [[nodiscard]] const DynamicDiskGraph& shard_graph(std::size_t s) const {
     return shards_[s]->graph;
   }

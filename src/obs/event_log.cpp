@@ -20,8 +20,6 @@ const char* event_type_name(EventType t) noexcept {
       return "designate";
     case EventType::kSuppress:
       return "suppress";
-    case EventType::kStep:
-      return "step";
     case EventType::kCacheUpdate:
       return "cache_update";
     case EventType::kWatchdogCheck:

@@ -40,18 +40,16 @@
 /// | kDuplicateRx      | receiver       | transmitter         | hop          | the Tx heard      |
 /// | kDesignate        | designee       | transmitter         | —            | the Tx naming it  |
 /// | kSuppress         | suppressed node| —                   | —            | the node's Rx     |
-/// | kStep             | moved count    | link-changed count  | step index   | —                 |
-/// | kCacheUpdate      | dirty count    | —                   | update index | the step's kStep  |
+/// | kCacheUpdate      | dirty count    | —                   | update index | its kShardExchange|
 /// | kWatchdogCheck    | sampled count  | mismatch count      | step index   | last kCacheUpdate |
 /// | kWatchdogMismatch | relay id       | —                   | —            | the kWatchdogCheck|
 /// | kShardExchange    | routed halo updates | migrations     | step index   | —                 |
 /// | kHeartbeat        | frame sequence | —                   | step index   | —                 |
 /// | kCrashDump        | —              | —                   | frames written | —               |
 ///
-/// kShardExchange is the sharded engine's step-level event (one per
-/// barrier; shard region graphs emit no per-shard kStep), so a sharded
-/// cache update parents to it exactly as a single-engine kCacheUpdate
-/// parents to its kStep.  kHeartbeat/kCrashDump are the blackbox flight
+/// kShardExchange is the engine's step-level event (one per barrier; the
+/// shard graphs themselves emit nothing), and the step's kCacheUpdate
+/// parents to it.  kHeartbeat/kCrashDump are the blackbox flight
 /// recorder's own marks (obs/blackbox.hpp): one per recorded heartbeat
 /// frame, and one per explicit dump_now() — signal-context dumps cannot
 /// emit events and leave only the report file.
@@ -81,7 +79,6 @@ enum class EventType : std::uint8_t {
   kDuplicateRx,
   kDesignate,
   kSuppress,
-  kStep,
   kCacheUpdate,
   kWatchdogCheck,
   kWatchdogMismatch,

@@ -68,7 +68,7 @@ enum class Phase : std::uint32_t {
   kStepOwnership = 1,  ///< ShardedEngine step phase 1: ownership commit
   kShardStep = 2,      ///< step phase 2: per-shard graph apply + hook
   kHaloExchange = 3,   ///< phase 2 sub-span: routing movers into halos
-  kCacheRecompute = 4, ///< ShardCache / SkylineCache dirty-relay recompute
+  kCacheRecompute = 4, ///< ShardCache dirty-relay recompute
   kStepCommit = 5,     ///< step phase 3: position commit + telemetry
   kSimdKernel = 6,     ///< compute_skyline_arcs (SIMD kernel dispatch)
   kPoolIdle = 7,       ///< ThreadPool worker parked on the task queue

@@ -4,8 +4,8 @@
 /// Lock-light runtime telemetry: monotonic counters, gauges, and
 /// log-bucketed histograms, collected in a named registry.
 ///
-/// Tuning the incremental machinery (SkylineCache tolerances, compaction
-/// thresholds, pool sizing) needs live counters and distributions, not the
+/// Tuning the incremental machinery (dirty fractions, slot slack, shard
+/// and pool sizing) needs live counters and distributions, not the
 /// end-of-run aggregates perf_suite prints.  The design follows the usual
 /// simulation-engine instrumentation split (cf. ROSS's st-data-collection):
 ///

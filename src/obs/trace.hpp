@@ -18,7 +18,7 @@
 ///    only ever contended by an in-flight flush.
 ///  - **Runtime arming.**  When tracing is stopped (the default), a span
 ///    costs one relaxed atomic load — cheap enough to leave spans compiled
-///    into steady-state paths like SkylineCache::update.  Do not put spans
+///    into steady-state paths like ShardedSkylineCache::step.  Do not put spans
 ///    in per-arc/per-disk inner loops; counters (telemetry.hpp) are the
 ///    tool at that granularity.
 ///  - **Compile-time kill switch.**  With MLDCS_ENABLE_TELEMETRY=OFF the

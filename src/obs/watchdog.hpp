@@ -5,16 +5,17 @@
 /// stays equal to its from-scratch recomputation *during* a long run, not
 /// only in tests.
 ///
-/// The incremental machinery (bcast::SkylineCache) is differential-tested
-/// against from-scratch sweeps, but a production mobility run gets no such
-/// check: a latent dirty-rule bug or a corrupted slot would silently serve
-/// wrong forwarding sets for hours.  `ConsistencyWatchdog` closes that gap
-/// at bounded cost: every `period` steps it samples `samples` distinct
-/// relays (deterministic xorshift sequence), recomputes each from scratch
-/// through the caller-supplied reference function, and compares against the
-/// cached answer.  Cost per check is `samples` single-relay recomputations
-/// — independent of network size — so the sampling budget is a dial
-/// between detection latency and overhead.
+/// The incremental machinery (bcast::ShardedSkylineCache) is
+/// differential-tested against from-scratch sweeps, but a production
+/// mobility run gets no such check: a latent dirty-rule bug or a corrupted
+/// slot would silently serve wrong forwarding sets for hours.
+/// `ConsistencyWatchdog` closes that gap at bounded cost: every `period`
+/// steps it samples `samples` distinct relays (deterministic xorshift
+/// sequence), recomputes each from scratch through the caller-supplied
+/// reference function, and compares against the cached answer.  Cost per
+/// check is `samples` single-relay recomputations — independent of network
+/// size — so the sampling budget is a dial between detection latency and
+/// overhead.
 ///
 /// Mismatches are reported three ways: `watchdog.*` metrics (counters for
 /// checks/sampled/mismatches, a last-mismatch-step gauge), flight-recorder
@@ -24,7 +25,8 @@
 /// the verdict API works in every build.
 ///
 /// The class is callback-generic (it lives below net/broadcast in the
-/// layering); `bcast::make_cache_watchdog` binds it to a SkylineCache.
+/// layering); `bcast::make_cache_watchdog` binds it to a
+/// ShardedSkylineCache.
 
 #include <cstdint>
 #include <functional>

@@ -1,4 +1,5 @@
-// Tests for make_cache_watchdog: the bound watchdog must stay silent over
+// Tests for make_cache_watchdog over the sharded skyline cache (shard
+// count = pool size): the bound watchdog must stay silent over
 // a long clean mobility run (the cache is correct, so any bark is a false
 // positive) and must catch an injected slot corruption within one sampling
 // period when every relay is sampled.
@@ -10,8 +11,9 @@
 #include <algorithm>
 #include <vector>
 
-#include "net/dynamic_disk_graph.hpp"
+#include "broadcast/sharded_cache.hpp"
 #include "net/mobility.hpp"
+#include "net/sharded_engine.hpp"
 #include "net/topology.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
@@ -27,19 +29,27 @@ net::DeploymentParams tiny_deploy() {
   return p;
 }
 
+/// Engine over the mobile network's current positions, tiled over the
+/// deployment square.
+net::ShardedEngine make_engine(const net::MobileNetwork& mobile,
+                               sim::ThreadPool& pool) {
+  const double side = tiny_deploy().side;
+  return {std::vector<net::Node>(mobile.nodes().begin(), mobile.nodes().end()),
+          pool, {0, {{0.0, 0.0}, {side, side}}}};
+}
+
 TEST(CacheWatchdogTest, SilentAcrossFiveHundredCleanMobilitySteps) {
   sim::Xoshiro256 rng(71);
   net::WaypointParams wp;
   net::MobileNetwork mobile(tiny_deploy(), wp, rng);
-  net::DynamicDiskGraph dyn{
-      std::vector<net::Node>(mobile.nodes().begin(), mobile.nodes().end())};
   sim::ThreadPool pool(2);
-  SkylineCache cache(dyn, pool);
+  net::ShardedEngine engine = make_engine(mobile, pool);
+  ShardedSkylineCache cache(engine);
 
-  auto wd = make_cache_watchdog(dyn, cache, {.period = 16, .samples = 8});
+  auto wd = make_cache_watchdog(cache, {.period = 16, .samples = 8});
   for (int t = 0; t < 512; ++t) {
     mobile.step(1.0, rng);
-    cache.update(dyn.apply(mobile.nodes(), mobile.moved_last_step()));
+    cache.step(mobile.nodes(), mobile.moved_last_step());
     EXPECT_TRUE(wd.on_step(cache.last_update_event())) << "step " << t;
   }
   EXPECT_EQ(wd.steps(), 512u);
@@ -53,18 +63,17 @@ TEST(CacheWatchdogTest, InjectedCorruptionCaughtWithinOnePeriod) {
   sim::Xoshiro256 rng(72);
   net::WaypointParams wp;
   net::MobileNetwork mobile(tiny_deploy(), wp, rng);
-  net::DynamicDiskGraph dyn{
-      std::vector<net::Node>(mobile.nodes().begin(), mobile.nodes().end())};
   sim::ThreadPool pool(2);
-  SkylineCache cache(dyn, pool);
+  net::ShardedEngine engine = make_engine(mobile, pool);
+  ShardedSkylineCache cache(engine);
 
   // Sampling the whole population each check makes "within one period"
   // deterministic: the first check after the injection must bark.
-  const auto n = static_cast<std::uint32_t>(dyn.size());
-  auto wd = make_cache_watchdog(dyn, cache, {.period = 8, .samples = n});
+  const auto n = static_cast<std::uint32_t>(cache.size());
+  auto wd = make_cache_watchdog(cache, {.period = 8, .samples = n});
 
   // Inject right after the step-23 update: the corruption lands mid-run
-  // with no later cache.update between it and the step-24 check, so a
+  // with no later cache step between it and the step-24 check, so a
   // recompute of the victim's slot cannot silently repair the injection
   // before the watchdog looks (which would make the test flaky).
   const net::NodeId victim = n / 2;
@@ -72,7 +81,7 @@ TEST(CacheWatchdogTest, InjectedCorruptionCaughtWithinOnePeriod) {
   std::uint64_t corrupted_at = 0;
   for (int t = 0; t < 64; ++t) {
     mobile.step(1.0, rng);
-    cache.update(dyn.apply(mobile.nodes(), mobile.moved_last_step()));
+    cache.step(mobile.nodes(), mobile.moved_last_step());
     if (t == 23) {
       cache.corrupt_slot_for_testing(victim);
       corrupted = true;
@@ -100,9 +109,9 @@ TEST(CacheWatchdogTest, CorruptionHelperFlipsBothSlotShapes) {
       {0, {0.0, 0.0}, 5.0},  // dominates 1: skyline forwarding set empty
       {1, {1.0, 0.0}, 2.0},
       {2, {4.0, 0.0}, 2.0}};
-  net::DynamicDiskGraph dyn{std::vector<net::Node>(nodes)};
   sim::ThreadPool pool(1);
-  SkylineCache cache(dyn, pool);
+  net::ShardedEngine engine{std::vector<net::Node>(nodes), pool, {}};
+  ShardedSkylineCache cache(engine);
 
   ASSERT_GT(cache.forwarding_set(1).size(), 0u);
   const auto before = cache.forwarding_set(1).size();

@@ -44,6 +44,25 @@ TEST(DiskGraphTest, TwoLinkedNodes) {
   EXPECT_TRUE(g.connected());
 }
 
+TEST(DiskGraphTest, EdgeFlipsCountEachChangedLinkOnce) {
+  // Three unit-radius nodes on a line: 0-1 and 1-2 linked.  Moving node 2
+  // next to node 0 keeps 1-2, drops nothing, adds 0-2; moving node 1 away
+  // drops 0-1 and 1-2.
+  const DiskGraph line =
+      DiskGraph::build({{0, {0, 0}, 1.0}, {1, {0.9, 0}, 1.0},
+                        {2, {1.8, 0}, 1.0}});
+  const DiskGraph closer =
+      DiskGraph::build({{0, {0, 0}, 1.0}, {1, {0.9, 0}, 1.0},
+                        {2, {0.5, 0.5}, 1.0}});
+  const DiskGraph apart =
+      DiskGraph::build({{0, {0, 0}, 1.0}, {1, {5.0, 0}, 1.0},
+                        {2, {1.8, 0}, 1.0}});
+  EXPECT_EQ(edge_flips(line, line), 0u);
+  EXPECT_EQ(edge_flips(line, closer), 1u);
+  EXPECT_EQ(edge_flips(closer, line), 1u);
+  EXPECT_EQ(edge_flips(line, apart), 2u);
+}
+
 TEST(DiskGraphTest, IdsAreReassignedToIndices) {
   const DiskGraph g =
       DiskGraph::build({{42, {0, 0}, 1.0}, {99, {0.5, 0}, 1.0}});

@@ -81,6 +81,20 @@ TEST(DynamicDiskGraphTest, SingleMoveReportsDeltaAndPatchesEdges) {
   expect_matches_rebuild(dyn, "after re-add");
 }
 
+TEST(DynamicDiskGraphTest, HintedButUnmovedNodesStayOutOfTheDelta) {
+  // StepDelta::moved names nodes whose position changed: a hint that
+  // over-approximates the movers must not leak unchanged nodes into it.
+  std::vector<Node> nodes{
+      {0, {0.0, 0.0}, 1.0}, {1, {0.9, 0.0}, 1.0}, {2, {1.8, 0.0}, 1.0}};
+  DynamicDiskGraph dyn{std::vector<Node>(nodes)};
+  nodes[1].pos = {0.9, 0.1};
+  const NodeId hint[] = {0, 1, 2};
+  const auto& delta = dyn.apply(nodes, hint);
+  EXPECT_EQ(delta.moved, (std::vector<NodeId>{1}));
+  EXPECT_TRUE(delta.link_changed.empty());
+  expect_matches_rebuild(dyn, "after hinted step");
+}
+
 TEST(DynamicDiskGraphTest, SimultaneousMovesCountEachFlippedEdgeOnce) {
   // Both endpoints of the only edge move apart in the same step.
   std::vector<Node> nodes{{0, {0.0, 0.0}, 1.0}, {1, {0.5, 0.0}, 1.0}};

@@ -1,7 +1,8 @@
 // Tests for the spatially sharded engine and cache: halo residency must
 // cover every owned relay's 1-hop set, border crossings must migrate
-// ownership, and the sharded forwarding sets must stay bit-identical to
-// the single-engine SkylineCache at every step, for every shard count.
+// ownership, and the sharded forwarding sets must stay bit-identical to a
+// from-scratch DiskGraph::build + compute_all_skylines at every step, for
+// every shard count and for positions outside the deployment rectangle.
 
 #include "net/sharded_engine.hpp"
 
@@ -13,13 +14,14 @@
 
 #include "broadcast/cache_watchdog.hpp"
 #include "broadcast/sharded_cache.hpp"
-#include "broadcast/skyline_cache.hpp"
+#include "net/disk_graph.hpp"
 #include "net/dynamic_disk_graph.hpp"
 #include "net/mobility.hpp"
 #include "net/topology.hpp"
 #include "obs/event_log.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
+#include "support/oracle.hpp"
 
 namespace mldcs::net {
 namespace {
@@ -44,7 +46,7 @@ ShardedEngine::Config sharded(std::size_t shards, double side) {
   return c;
 }
 
-// --- Region-mode DynamicDiskGraph (the shard substrate) --------------------
+// --- Region DynamicDiskGraph (the shard substrate) -------------------------
 
 TEST(RegionGraphTest, ResidencyRestrictsAdjacencyToTheRegion) {
   // Four unit-radius nodes on a line; region = left half [0,2]x[0,4].
@@ -54,7 +56,6 @@ TEST(RegionGraphTest, ResidencyRestrictsAdjacencyToTheRegion) {
                           {3, {3.2, 1.0}, 1.0}};
   const geom::BBox region{{0.0, 0.0}, {2.0, 4.0}};
   DynamicDiskGraph g{std::vector<Node>(nodes), region};
-  EXPECT_TRUE(g.region_mode());
   EXPECT_EQ(g.resident_count(), 2u);
   EXPECT_TRUE(g.resident(0));
   EXPECT_TRUE(g.resident(1));
@@ -110,7 +111,7 @@ TEST(ShardedEngineTest, HaloCoversEveryOwnedNeighborhood) {
   sim::Xoshiro256 rng(21);
   const std::vector<Node> nodes =
       generate_deployment(small_deploy(), rng);
-  const DynamicDiskGraph whole{std::vector<Node>(nodes)};
+  const DiskGraph whole = DiskGraph::build(std::vector<Node>(nodes));
   sim::ThreadPool pool(1);
   const ShardedEngine engine{std::vector<Node>(nodes), pool,
                              sharded(4, 12.5)};
@@ -173,7 +174,7 @@ TEST(ShardedEngineTest, BorderCrossingMigratesOwnership) {
             (std::vector<NodeId>{2}));
 }
 
-// --- Differential vs the single engine -------------------------------------
+// --- Differential vs the from-scratch oracle --------------------------------
 
 struct Regime {
   const char* name;
@@ -197,8 +198,9 @@ std::vector<Regime> regimes() {
   return {quasi, moderate, storm};
 }
 
-/// Drive `steps` mobility steps comparing the sharded cache against the
-/// single-engine SkylineCache relay by relay, every step.
+/// Drive `steps` mobility steps comparing the sharded cache against a
+/// from-scratch DiskGraph::build + compute_all_skylines relay by relay,
+/// every step.
 void expect_bit_identical_run(std::uint64_t seed, const WaypointParams& wp,
                               std::size_t shards, std::size_t steps,
                               const char* regime) {
@@ -208,30 +210,17 @@ void expect_bit_identical_run(std::uint64_t seed, const WaypointParams& wp,
   MobileNetwork net(dp, wp, rng);
 
   sim::ThreadPool pool(2);
-  DynamicDiskGraph whole{std::vector<Node>(net.nodes())};
-  bcast::SkylineCache single(whole, pool);
   ShardedEngine engine{std::vector<Node>(net.nodes()), pool,
                        sharded(shards, side)};
   bcast::ShardedSkylineCache cache(engine);
 
   for (std::size_t k = 0; k < steps; ++k) {
     net.step(0.5, rng);
-    const auto moved = net.moved_last_step();
-    single.update(whole.apply(net.nodes(), moved));
-    cache.step(net.nodes(), moved);
-
-    for (NodeId u = 0; u < whole.size(); ++u) {
-      const auto got = cache.forwarding_set(u);
-      const auto want = single.forwarding_set(u);
-      ASSERT_TRUE(
-          std::equal(got.begin(), got.end(), want.begin(), want.end()))
-          << regime << " seed " << seed << " shards " << shards << " step "
-          << k << ": forwarding set mismatch at relay " << u;
-      ASSERT_EQ(cache.arc_count(u), single.arc_count(u))
-          << regime << " step " << k << " relay " << u;
-    }
+    cache.step(net.nodes(), net.moved_last_step());
+    ASSERT_TRUE(test::matches_from_scratch(cache, net.nodes()))
+        << regime << " seed " << seed << " shards " << shards << " step "
+        << k;
   }
-  EXPECT_EQ(cache.total_forwarders(), single.total_forwarders());
   EXPECT_EQ(cache.update_count(), steps);
 }
 
@@ -246,6 +235,52 @@ TEST(ShardedEngineTest, LongRunDifferentialAcrossRegimesAndSeeds) {
     for (const std::uint64_t seed : {7ull, 23ull}) {
       expect_bit_identical_run(seed, regime.wp, 4, 30, regime.name);
     }
+  }
+}
+
+// --- Positions outside the deployment rectangle ----------------------------
+
+TEST(ShardedEngineTest, PositionsOutsideTheDeploymentRectangleStayExact) {
+  // The tiles cover only the middle of the square: most nodes start
+  // outside Config::deployment, and random-waypoint motion carries them
+  // across its border all run long.  Nodes 0 and 1 additionally walk
+  // side by side straight out of the square, far beyond any halo band,
+  // keeping their link — a 1-hop set wholly outside the rectangle.
+  for (const std::size_t shards : {1u, 4u}) {
+    sim::Xoshiro256 rng(61);
+    MobileNetwork net(small_deploy(), regimes()[1].wp, rng);
+    sim::ThreadPool pool(2);
+    ShardedEngine::Config cfg;
+    cfg.shards = shards;
+    cfg.deployment = {{3.0, 3.0}, {9.5, 9.5}};
+    std::vector<Node> now(net.nodes().begin(), net.nodes().end());
+    std::size_t outside = 0;
+    for (const Node& node : now) {
+      outside += cfg.deployment.contains(node.pos) ? 0 : 1;
+    }
+    ASSERT_GT(outside, now.size() / 2);
+    ShardedEngine engine{std::vector<Node>(now), pool, cfg};
+    bcast::ShardedSkylineCache cache(engine);
+    ASSERT_TRUE(test::matches_from_scratch(cache, now)) << "initial";
+
+    std::vector<NodeId> hint;
+    for (int k = 0; k < 16; ++k) {
+      net.step(0.5, rng);
+      now.assign(net.nodes().begin(), net.nodes().end());
+      const double x = 2.0 - 1.5 * k;
+      now[0].pos = {x, 6.0};
+      now[1].pos = {x - 0.3, 6.2};
+      hint = {0, 1};
+      for (const NodeId u : net.moved_last_step()) {
+        if (u > 1) hint.push_back(u);
+      }
+      cache.step(now, hint);
+      ASSERT_TRUE(test::matches_from_scratch(cache, now))
+          << "shards " << shards << " step " << k;
+    }
+    // Far outside the rectangle, the walkers' owner still links them.
+    EXPECT_EQ(vec(engine.shard_graph(engine.owner_of(0)).neighbors(0)),
+              (std::vector<NodeId>{1}));
   }
 }
 
@@ -283,8 +318,11 @@ TEST(ShardedEngineTest, EmitsShardExchangeWithCacheUpdateChild) {
       cache_linked = true;
       EXPECT_EQ(e.id, cache.last_update_event());
     }
-    // Region-mode shard graphs must not emit per-shard kStep events.
-    EXPECT_NE(e.type, obs::EventType::kStep);
+    // The step emits exactly its exchange and its cache update: the
+    // shard graphs themselves emit nothing.
+    EXPECT_TRUE(e.type == obs::EventType::kShardExchange ||
+                e.type == obs::EventType::kCacheUpdate)
+        << obs::event_type_name(e.type);
   }
   EXPECT_EQ(exchanges, 1u);
   EXPECT_TRUE(cache_linked);

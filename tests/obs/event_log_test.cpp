@@ -39,7 +39,6 @@ TEST_F(EventLogTest, TypeNamesAreStableSchemaTokens) {
   EXPECT_STREQ(event_type_name(EventType::kDuplicateRx), "dup_rx");
   EXPECT_STREQ(event_type_name(EventType::kDesignate), "designate");
   EXPECT_STREQ(event_type_name(EventType::kSuppress), "suppress");
-  EXPECT_STREQ(event_type_name(EventType::kStep), "step");
   EXPECT_STREQ(event_type_name(EventType::kCacheUpdate), "cache_update");
   EXPECT_STREQ(event_type_name(EventType::kWatchdogCheck), "watchdog_check");
   EXPECT_STREQ(event_type_name(EventType::kWatchdogMismatch),
@@ -79,16 +78,16 @@ TEST_F(EventLogTest, IdsAreMonotoneFromZeroAndSnapshotOrdered) {
 
 TEST_F(EventLogTest, ClearRestartsTheIdSequence) {
   events_start();
-  static_cast<void>(emit_event(EventType::kStep, 0, 0, kNoEvent, 1));
+  static_cast<void>(emit_event(EventType::kCacheUpdate, 0, 0, kNoEvent, 1));
   events_clear();
-  EXPECT_EQ(emit_event(EventType::kStep, 0, 0, kNoEvent, 2), 0u);
+  EXPECT_EQ(emit_event(EventType::kCacheUpdate, 0, 0, kNoEvent, 2), 0u);
 }
 
 TEST_F(EventLogTest, CapacityBoundsTheLogAndCountsDrops) {
   events_start(/*capacity=*/4);
   for (std::uint64_t i = 0; i < 10; ++i) {
     const std::uint64_t id =
-        emit_event(EventType::kStep, 0, 0, kNoEvent, i);
+        emit_event(EventType::kCacheUpdate, 0, 0, kNoEvent, i);
     if (i < 4) {
       EXPECT_EQ(id, i);
     } else {
@@ -106,7 +105,7 @@ TEST_F(EventLogTest, MultiThreadEmissionsMergeSortedWithUniqueIds) {
   events_start();
   sim::ThreadPool pool(4);
   pool.parallel_for(64, [](std::size_t i) {
-    static_cast<void>(emit_event(EventType::kStep,
+    static_cast<void>(emit_event(EventType::kCacheUpdate,
                                  static_cast<std::uint32_t>(i), kNoNode,
                                  kNoEvent, i));
   });
@@ -132,9 +131,9 @@ TEST_F(EventLogTest, JsonlOmitsSentinelFieldsAndKeepsPresentOnes) {
 
 TEST_F(EventLogTest, StopFreezesTheLogWithoutClearingIt) {
   events_start();
-  static_cast<void>(emit_event(EventType::kStep, 0, 0, kNoEvent, 1));
+  static_cast<void>(emit_event(EventType::kCacheUpdate, 0, 0, kNoEvent, 1));
   events_stop();
-  EXPECT_EQ(emit_event(EventType::kStep, 0, 0, kNoEvent, 2), kNoEvent);
+  EXPECT_EQ(emit_event(EventType::kCacheUpdate, 0, 0, kNoEvent, 2), kNoEvent);
   EXPECT_EQ(events_snapshot().size(), 1u);
 }
 

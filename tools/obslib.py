@@ -37,7 +37,7 @@ PROFILE_SCHEMA = "mldcs-profile-v1"
 #: Event-type tokens emitted by obs::event_type_name (one per EventType).
 EVENT_TYPES = frozenset({
     "broadcast", "tx", "rx", "dup_rx", "designate", "suppress",
-    "step", "cache_update", "watchdog_check", "watchdog_mismatch",
+    "cache_update", "watchdog_check", "watchdog_mismatch",
     "shard_exchange", "heartbeat", "crash_dump",
 })
 
