@@ -89,10 +89,6 @@ int main(int argc, char** argv) {
 
   if (!events_path.empty()) {
     const auto replays = obs::replay_broadcasts(obs::events_snapshot());
-    if (replays.empty()) {
-      std::cout << "\n(no events recorded: telemetry is compiled out in "
-                   "this build, so the flight recorder is a no-op)\n";
-    }
     // One replay per scheme, in simulation order: ask each "why" question
     // the storm analysis cares about straight from the event stream.
     for (std::size_t i = 0; i < replays.size() && i < schemes.size(); ++i) {

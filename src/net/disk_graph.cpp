@@ -9,9 +9,11 @@ namespace mldcs::net {
 
 namespace {
 
-/// Deployments below this size build serially: the paper's per-trial graphs
-/// (hundreds of nodes) are built inside already-parallel trial loops, where
-/// spinning up a transient pool per build would cost more than it saves.
+/// Deployments below this size build inline on the caller: the paper's
+/// per-trial graphs (hundreds of nodes) are built inside already-parallel
+/// trial loops, where fanning out again would cost more than it saves.
+/// Larger ones run both CSR passes on sim::default_pool(), so repeated
+/// builds reuse one set of workers instead of starting threads per call.
 constexpr std::size_t kParallelBuildThreshold = 4096;
 
 }  // namespace
@@ -66,16 +68,19 @@ DiskGraph DiskGraph::build(std::vector<Node> nodes) {
     }
   };
 
-  const bool parallel = n >= kParallelBuildThreshold;
-  sim::ThreadPool pool(parallel ? 0 : 1);
-  const auto run_pass = [&pool, n](const auto& pass) {
-    pool.parallel_chunks(
-        n, [&pass](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
-          // Per-chunk (= per-worker) candidate scratch, reused across the
-          // whole contiguous node range.
-          std::vector<NodeId> scratch;
-          pass(scratch, lo, hi);
-        });
+  const auto run_pass = [n](const auto& pass) {
+    const auto chunk = [&pass](std::size_t /*chunk*/, std::size_t lo,
+                               std::size_t hi) {
+      // Per-chunk (= per-worker) candidate scratch, reused across the
+      // whole contiguous node range.
+      std::vector<NodeId> scratch;
+      pass(scratch, lo, hi);
+    };
+    if (n >= kParallelBuildThreshold) {
+      sim::default_pool().parallel_chunks(n, chunk);
+    } else {
+      chunk(0, 0, n);
+    }
   };
 
   run_pass(count_range);

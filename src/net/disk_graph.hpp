@@ -17,6 +17,8 @@ class DiskGraph {
  public:
   /// Build the graph.  Node ids are reassigned to positions in `nodes`
   /// (callers address nodes by index).  Uses a spatial grid, O(N * degree).
+  /// Builds of at least 4096 nodes run on sim::default_pool() and, like
+  /// ThreadPool::parallel_for, must not be called from one of its workers.
   static DiskGraph build(std::vector<Node> nodes);
 
   /// Adopt known adjacency lists (adj[i] = sorted neighbor ids of node i)

@@ -1,8 +1,11 @@
 #include "obs/event_log.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <ostream>
 
 #include "core/annotations.hpp"
+#include "obs/thread_buffers.hpp"
 
 namespace mldcs::obs {
 
@@ -36,50 +39,21 @@ const char* event_type_name(EventType t) noexcept {
   return "unknown";
 }
 
-}  // namespace mldcs::obs
-
-#if MLDCS_ENABLE_TELEMETRY
-
-#include <algorithm>
-#include <atomic>
-#include <memory>
-#include <mutex>
-
-namespace mldcs::obs {
-
 namespace {
 
-/// One buffer per thread; the mutex serializes the owning thread's appends
-/// against a concurrent flush (same shape as the trace buffers).
-struct EventBuffer {
-  std::mutex mu;
-  std::vector<Event> events;
-};
+using Buffers = detail::ThreadBuffers<Event>;
 
 struct EventState {
   std::atomic<bool> enabled{false};
   std::atomic<std::uint64_t> next_id{0};
   std::atomic<std::uint64_t> capacity{kDefaultEventCapacity};
   std::atomic<std::uint64_t> dropped{0};
-  std::mutex mu;  ///< guards `buffers` (registration and flush iteration)
-  std::vector<std::shared_ptr<EventBuffer>> buffers;
 };
 
 EventState& state() {
   // Leaked: worker threads may emit during static teardown.
   static EventState* s = new EventState;
   return *s;
-}
-
-EventBuffer& local_buffer() {
-  thread_local std::shared_ptr<EventBuffer> tl = [] {
-    auto buf = std::make_shared<EventBuffer>();
-    EventState& s = state();
-    const std::lock_guard<std::mutex> lock(s.mu);
-    s.buffers.push_back(buf);  // registry keeps events past thread exit
-    return buf;
-  }();
-  return *tl;
 }
 
 void write_event_line(std::ostream& os, const Event& e) {
@@ -119,9 +93,7 @@ MLDCS_ALLOC_OK std::uint64_t emit_event(EventType type, std::uint32_t a,
     s.dropped.fetch_add(1, std::memory_order_relaxed);
     return kNoEvent;
   }
-  EventBuffer& buf = local_buffer();
-  const std::lock_guard<std::mutex> lock(buf.mu);
-  buf.events.push_back({id, parent, value, a, b, type});
+  Buffers::append({id, parent, value, a, b, type});
   return id;
 }
 
@@ -130,26 +102,18 @@ std::uint64_t events_dropped() noexcept {
 }
 
 void events_clear() {
+  Buffers::for_each(
+      [](std::uint32_t, std::vector<Event>& events) { events.clear(); });
   EventState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  for (const auto& buf : s.buffers) {
-    const std::lock_guard<std::mutex> buf_lock(buf->mu);
-    buf->events.clear();
-  }
   s.next_id.store(0, std::memory_order_relaxed);
   s.dropped.store(0, std::memory_order_relaxed);
 }
 
 std::vector<Event> events_snapshot() {
-  EventState& s = state();
   std::vector<Event> out;
-  {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& buf : s.buffers) {
-      const std::lock_guard<std::mutex> buf_lock(buf->mu);
-      out.insert(out.end(), buf->events.begin(), buf->events.end());
-    }
-  }
+  Buffers::for_each([&out](std::uint32_t, std::vector<Event>& events) {
+    out.insert(out.end(), events.begin(), events.end());
+  });
   std::sort(out.begin(), out.end(),
             [](const Event& x, const Event& y) { return x.id < y.id; });
   return out;
@@ -174,20 +138,3 @@ void write_events_jsonl_tail(std::ostream& os, std::size_t tail) {
 }
 
 }  // namespace mldcs::obs
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-namespace mldcs::obs {
-
-void write_events_jsonl(std::ostream& os) {
-  os << "{\"schema\":\"mldcs-events-v1\",\"enabled\":false,\"count\":0,"
-        "\"dropped\":0}\n";
-}
-
-void write_events_jsonl_tail(std::ostream& os, std::size_t) {
-  write_events_jsonl(os);
-}
-
-}  // namespace mldcs::obs
-
-#endif  // MLDCS_ENABLE_TELEMETRY

@@ -6,19 +6,24 @@
 
 namespace mldcs::obs {
 
-namespace {
-
-/// Metric names are dotted identifiers ("cache.dirty_relays"); JSON wants
-/// them quoted verbatim, Prometheus wants [a-zA-Z0-9_:] only.
-void write_quoted(std::ostream& os, const std::string& name) {
-  os << '"';
-  for (const char c : name) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else {
+      out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
+    }
   }
-  os << '"';
+  return out;
 }
 
+namespace {
+
+/// Metric names are dotted identifiers ("cache.dirty_relays"); Prometheus
+/// wants [a-zA-Z0-9_:] only.
 std::string prometheus_name(const std::string& name) {
   std::string out = "mldcs_";
   for (const char c : name) {
@@ -45,31 +50,26 @@ void write_histogram_json(std::ostream& os, const HistogramSnapshot& h) {
 
 void write_snapshot_json(std::ostream& os, const Registry& r) {
   const RegistrySnapshot s = r.snapshot();
-  os << "{\"schema\":\"mldcs-telemetry-v1\",\"enabled\":"
-     << (kTelemetryEnabled ? "true" : "false");
-  os << ",\"counters\":{";
+  os << "{\"schema\":\"mldcs-telemetry-v1\",\"enabled\":true,\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : s.counters) {
     if (!first) os << ",";
     first = false;
-    write_quoted(os, name);
-    os << ":" << value;
+    os << '"' << json_escape(name) << "\":" << value;
   }
   os << "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : s.gauges) {
     if (!first) os << ",";
     first = false;
-    write_quoted(os, name);
-    os << ":" << value;
+    os << '"' << json_escape(name) << "\":" << value;
   }
   os << "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : s.histograms) {
     if (!first) os << ",";
     first = false;
-    write_quoted(os, name);
-    os << ":";
+    os << '"' << json_escape(name) << "\":";
     write_histogram_json(os, h);
   }
   os << "}}\n";

@@ -6,15 +6,20 @@
 /// text exposition (for scraping a long-running process).
 ///
 /// Both serialize a RegistrySnapshot, so they are consistent per metric
-/// and cost nothing on the update path.  With MLDCS_ENABLE_TELEMETRY=OFF
-/// they emit valid documents with empty metric sections and
-/// `"enabled": false`, so pipelines stay unconditional.
+/// and cost nothing on the update path.
 
 #include <iosfwd>
+#include <string>
+#include <string_view>
 
 #include "obs/telemetry.hpp"
 
 namespace mldcs::obs {
+
+/// `text` as the body of a JSON string: '"' and '\\' are backslash-escaped
+/// and control characters become a space, so any name yields valid JSON.
+/// Every obs writer (snapshot, trace, profile) quotes names with this.
+[[nodiscard]] std::string json_escape(std::string_view text);
 
 /// One JSON object:
 ///   {"schema":"mldcs-telemetry-v1","enabled":true,

@@ -264,8 +264,7 @@ void IntrospectServer::handle_connection(int client_fd) {
   } else if (path == "/profile") {
     // Deliberate exception to "never block": the *server thread* sleeps
     // for the sampled window (1..30 s, bounded); the simulation threads
-    // only carry the armed profiler's sampling cost.  Telemetry-off
-    // builds return a valid empty document immediately.
+    // only carry the armed profiler's sampling cost.
     const double seconds = parse_profile_seconds(target);
     const bool json = target.find("format=json") != std::string::npos;
     const ProfileReport report =

@@ -1,9 +1,6 @@
-// Sampling profiler engine (see profiler.hpp for the design contract).
-//
-// Split in two: the unconditional report writers at the bottom compile in
-// both telemetry branches (the introspection server calls them with stub
-// reports in OFF builds); everything else — rings, timers, the SIGPROF
-// handler, the drain thread — sits behind MLDCS_ENABLE_TELEMETRY.
+// Sampling profiler engine (see profiler.hpp for the design contract):
+// rings, timers, the SIGPROF handler and the drain thread, then the
+// folded/JSON report writers.
 
 #ifndef _GNU_SOURCE
 #define _GNU_SOURCE 1  // pthread_getattr_np, SIGEV_THREAD_ID
@@ -12,8 +9,6 @@
 #include "obs/profiler.hpp"
 
 #include <ostream>
-
-#if MLDCS_ENABLE_TELEMETRY
 
 #include <dlfcn.h>
 #include <pthread.h>
@@ -34,6 +29,7 @@
 #include <unordered_map>
 
 #include "core/annotations.hpp"
+#include "obs/export.hpp"
 
 // Linux guards SIGEV_THREAD_ID behind __USE_GNU; provide the stable ABI
 // values when the headers hide them (the kernel interface is fixed).
@@ -306,20 +302,6 @@ void register_thread_locked(State& s) {
 // demangle at fold time, with a pc -> name cache) and refreshes the
 // pre-serialized crash snapshot.
 
-/// JSON-escape `in` into `out` (append).
-void escape_json(const std::string& in, std::string& out) {
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
 /// Best-effort symbol for `pc`: demangled function name with the argument
 /// list stripped and spaces flattened (folded frames are ';'- and
 /// space-delimited), else "0x<hex>".  Drain-thread only.
@@ -444,7 +426,7 @@ void refresh_crash_snapshot(State& s) {
       std::string entry;
       if (!first) entry += ',';
       entry += "[\"";
-      escape_json(*stack, entry);
+      entry += json_escape(*stack);
       entry += "\",";
       entry += std::to_string(count);
       entry += ']';
@@ -655,32 +637,8 @@ std::size_t profiler_crash_snapshot(char* dst, std::size_t cap) noexcept {
   return 0;  // buffer kept flipping underneath us: give up cleanly
 }
 
-}  // namespace mldcs::obs
-
-#endif  // MLDCS_ENABLE_TELEMETRY
-
 // ---------------------------------------------------------------------------
-// Unconditional writers: real in both telemetry branches so the
-// introspection server (which has no stub branch) always emits valid
-// documents.
-
-namespace mldcs::obs {
-
-namespace {
-
-void json_escaped(std::ostream& os, const std::string& in) {
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
-  }
-}
-
-}  // namespace
+// Report writers.
 
 void write_profile_folded(std::ostream& os, const ProfileReport& r) {
   for (const auto& [stack, count] : r.folded) {
@@ -697,18 +655,14 @@ void write_profile_json(std::ostream& os, const ProfileReport& r) {
   for (const auto& [phase, count] : r.phases) {
     if (!first) os << ',';
     first = false;
-    os << '"';
-    json_escaped(os, phase);
-    os << "\":" << count;
+    os << '"' << json_escape(phase) << "\":" << count;
   }
   os << "},\"folded\":{";
   first = true;
   for (const auto& [stack, count] : r.folded) {
     if (!first) os << ',';
     first = false;
-    os << '"';
-    json_escaped(os, stack);
-    os << "\":" << count;
+    os << '"' << json_escape(stack) << "\":" << count;
   }
   os << "}}\n";
 }

@@ -38,24 +38,14 @@
 /// mobility_maintenance, `profiler_crash_snapshot()` inside blackbox
 /// dumps, and tools/obslib.py `load_profile` (docs/OBSERVABILITY.md,
 /// "Sampling profiler").
-///
-/// With MLDCS_ENABLE_TELEMETRY=OFF every function is an inline no-op
-/// stub (arm fails, reports are empty, PhaseScope compiles away); the
-/// folded/JSON writers stay real so unconditional callers (the
-/// introspection server) still emit valid empty documents.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "obs/telemetry.hpp"  // MLDCS_ENABLE_TELEMETRY / kTelemetryEnabled
-
-#if MLDCS_ENABLE_TELEMETRY
-#include <atomic>
-#endif
 
 namespace mldcs::obs {
 
@@ -120,12 +110,11 @@ struct ProfileReport {
   std::vector<std::pair<std::string, std::uint64_t>> phases;
 };
 
-#if MLDCS_ENABLE_TELEMETRY
-
 namespace detail {
-/// The per-thread phase word.  Constant-initialized (no TLS init guard),
-/// so the SIGPROF handler's read is a plain thread-local atomic load.
-extern thread_local std::atomic<std::uint32_t> t_phase;
+/// The per-thread phase word.  Constant-initialized, and declared
+/// `constinit` so no TU emits a TLS init-guard call around it: PhaseScope
+/// and the SIGPROF handler's read are plain thread-local atomic accesses.
+extern thread_local constinit std::atomic<std::uint32_t> t_phase;
 }  // namespace detail
 
 /// RAII phase tag: two relaxed thread-local stores, nothing else — safe
@@ -195,38 +184,9 @@ void profiler_register_thread();
 /// this between the event tail and the end trailer.
 std::size_t profiler_crash_snapshot(char* dst, std::size_t cap) noexcept;
 
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-class PhaseScope {
- public:
-  explicit PhaseScope(Phase) noexcept {}
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-};
-
-[[nodiscard]] inline Phase profiler_current_phase() noexcept {
-  return Phase::kNone;
-}
-inline bool profiler_arm(const ProfilerConfig&) { return false; }
-inline void profiler_disarm() {}
-[[nodiscard]] inline bool profiler_armed() noexcept { return false; }
-inline void profiler_register_thread() {}
-[[nodiscard]] inline ProfileReport profiler_report() { return {}; }
-[[nodiscard]] inline ProfileReport profiler_capture_window(
-    double, const ProfilerConfig&) {
-  return {};
-}
-inline std::size_t profiler_crash_snapshot(char*, std::size_t) noexcept {
-  return 0;
-}
-
-#endif  // MLDCS_ENABLE_TELEMETRY
-
 /// Write `r` as collapsed-stack text: one "stack count" line per folded
 /// stack, flamegraph.pl / speedscope compatible.  Metadata (hz, dropped,
 /// phases) is not representable here — use the JSON form for that.
-/// Real in both telemetry branches: an OFF build writes an empty (valid)
-/// document.
 void write_profile_folded(std::ostream& os, const ProfileReport& r);
 
 /// Write `r` as one `mldcs-profile-v1` JSON document:

@@ -21,10 +21,6 @@
 /// Ownership is token-based (`owner`): tests and benches build many
 /// engines, and a destructor must only deregister the provider it itself
 /// installed, never a successor's.
-///
-/// This header is deliberately independent of MLDCS_ENABLE_TELEMETRY: the
-/// numbers come from the engine, not the metric registry, so `/shards`
-/// stays live even in a telemetry-off build.
 
 #include <cstdint>
 #include <functional>

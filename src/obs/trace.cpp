@@ -1,14 +1,12 @@
 #include "obs/trace.hpp"
 
-#include <ostream>
-
-#if MLDCS_ENABLE_TELEMETRY
-
 #include <atomic>
 #include <chrono>
-#include <memory>
-#include <mutex>
+#include <ostream>
 #include <vector>
+
+#include "obs/export.hpp"
+#include "obs/thread_buffers.hpp"
 
 namespace mldcs::obs {
 
@@ -26,51 +24,17 @@ struct TraceEvent {
   std::int64_t dur_ns;
 };
 
-/// One buffer per thread.  The mutex serializes the owning thread's
-/// appends against a concurrent flush; appends are otherwise uncontended.
-struct TraceBuffer {
-  std::mutex mu;
-  std::vector<TraceEvent> events;
-  std::uint32_t tid = 0;
-};
+using Buffers = detail::ThreadBuffers<TraceEvent>;
 
 struct TraceState {
   std::atomic<bool> enabled{false};
   std::atomic<std::int64_t> epoch_ns{0};
-  std::mutex mu;  ///< guards `buffers` (registration and flush iteration)
-  std::vector<std::shared_ptr<TraceBuffer>> buffers;
-  std::uint32_t next_tid = 0;
 };
 
 TraceState& state() {
   // Leaked: worker threads may record spans during static teardown.
   static TraceState* s = new TraceState;
   return *s;
-}
-
-TraceBuffer& local_buffer() {
-  thread_local std::shared_ptr<TraceBuffer> tl = [] {
-    auto buf = std::make_shared<TraceBuffer>();
-    TraceState& s = state();
-    const std::lock_guard<std::mutex> lock(s.mu);
-    buf->tid = s.next_tid++;
-    s.buffers.push_back(buf);  // registry keeps events past thread exit
-    return buf;
-  }();
-  return *tl;
-}
-
-void write_json_escaped(std::ostream& os, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';  // control chars never appear in span literals
-    } else {
-      os << c;
-    }
-  }
 }
 
 }  // namespace
@@ -102,53 +66,31 @@ TraceSpan::~TraceSpan() {
   if (name_ == nullptr) return;
   const std::int64_t t1 = now_ns();
   const std::int64_t epoch = state().epoch_ns.load(std::memory_order_relaxed);
-  TraceBuffer& buf = local_buffer();
-  const std::lock_guard<std::mutex> lock(buf.mu);
-  buf.events.push_back({name_, t0_ns_ - epoch, t1 - t0_ns_});
+  Buffers::append({name_, t0_ns_ - epoch, t1 - t0_ns_});
 }
 
 void write_trace_json(std::ostream& os) {
-  TraceState& s = state();
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  const std::lock_guard<std::mutex> lock(s.mu);
-  for (const auto& buf : s.buffers) {
-    const std::lock_guard<std::mutex> buf_lock(buf->mu);
-    for (const TraceEvent& e : buf->events) {
+  Buffers::for_each([&](std::uint32_t tid, std::vector<TraceEvent>& events) {
+    for (const TraceEvent& e : events) {
       if (!first) os << ",";
       first = false;
       // chrome://tracing wants microsecond timestamps; fractional values
       // keep the ns resolution.
-      os << "{\"name\":\"";
-      write_json_escaped(os, e.name);
-      os << "\",\"cat\":\"mldcs\",\"ph\":\"X\",\"pid\":0,\"tid\":" << buf->tid
+      os << "{\"name\":\"" << json_escape(e.name)
+         << "\",\"cat\":\"mldcs\",\"ph\":\"X\",\"pid\":0,\"tid\":" << tid
          << ",\"ts\":" << static_cast<double>(e.t0_ns) / 1e3
          << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1e3 << "}";
     }
-    buf->events.clear();
-  }
+    events.clear();
+  });
   os << "]}\n";
 }
 
 void trace_clear() {
-  TraceState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  for (const auto& buf : s.buffers) {
-    const std::lock_guard<std::mutex> buf_lock(buf->mu);
-    buf->events.clear();
-  }
+  Buffers::for_each(
+      [](std::uint32_t, std::vector<TraceEvent>& events) { events.clear(); });
 }
 
 }  // namespace mldcs::obs
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-namespace mldcs::obs {
-
-void write_trace_json(std::ostream& os) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n";
-}
-
-}  // namespace mldcs::obs
-
-#endif  // MLDCS_ENABLE_TELEMETRY

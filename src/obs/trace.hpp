@@ -21,9 +21,6 @@
 ///    into steady-state paths like ShardedSkylineCache::step.  Do not put spans
 ///    in per-arc/per-disk inner loops; counters (telemetry.hpp) are the
 ///    tool at that granularity.
-///  - **Compile-time kill switch.**  With MLDCS_ENABLE_TELEMETRY=OFF the
-///    span is an empty object and the functions are inline no-ops
-///    (write_trace_json still emits a valid empty document).
 ///
 /// Span names must be string literals (or otherwise outlive the flush):
 /// buffers store the pointer, not a copy.
@@ -31,11 +28,7 @@
 #include <cstdint>
 #include <iosfwd>
 
-#include "obs/telemetry.hpp"  // MLDCS_ENABLE_TELEMETRY / kTelemetryEnabled
-
 namespace mldcs::obs {
-
-#if MLDCS_ENABLE_TELEMETRY
 
 /// Begin collecting spans (clock epoch is set on the first start).
 void trace_start();
@@ -68,22 +61,5 @@ class TraceSpan {
   const char* name_;  ///< nullptr when disarmed
   std::int64_t t0_ns_ = 0;
 };
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-inline void trace_start() {}
-inline void trace_stop() {}
-[[nodiscard]] inline bool trace_enabled() noexcept { return false; }
-void write_trace_json(std::ostream& os);  // valid empty document
-inline void trace_clear() {}
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) noexcept {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 }  // namespace mldcs::obs

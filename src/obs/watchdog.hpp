@@ -21,8 +21,8 @@
 /// checks/sampled/mismatches, a last-mismatch-step gauge), flight-recorder
 /// events (kWatchdogCheck per check, kWatchdogMismatch per bad relay,
 /// causally linked to the cache update they indict), and the object's own
-/// plain counters — which stay functional with telemetry compiled out, so
-/// the verdict API works in every build.
+/// plain counters — which work whether or not the event log is armed, so
+/// the verdict API needs no telemetry consumer.
 ///
 /// The class is callback-generic (it lives below net/broadcast in the
 /// layering); `bcast::make_cache_watchdog` binds it to a

@@ -39,7 +39,7 @@ ThreadPool::ThreadPool(std::size_t threads)
   // Register the pool metrics up front so snapshots always carry them —
   // a single-worker pool runs everything inline and would otherwise never
   // touch the registry.
-  if constexpr (obs::kTelemetryEnabled) pool_telemetry();
+  pool_telemetry();
 }
 
 ThreadPool::~ThreadPool() {
@@ -80,29 +80,19 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
       ++active_;
     }
-    // Clock reads sit outside the telemetry stubs, so gate them too: with
-    // the kill switch off the worker loop compiles exactly as before.
-    std::int64_t t0 = 0;
-    if constexpr (obs::kTelemetryEnabled) {
-      t0 = std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-               .count();
-    }
+    const auto t0 = std::chrono::steady_clock::now();
     try {
       task();
     } catch (...) {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (!first_error_) first_error_ = std::current_exception();
     }
-    if constexpr (obs::kTelemetryEnabled) {
-      const std::int64_t t1 =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count();
-      PoolTelemetry& t = pool_telemetry();
-      t.tasks.add();
-      t.busy_ns.add(static_cast<std::uint64_t>(t1 - t0));
-    }
+    PoolTelemetry& t = pool_telemetry();
+    t.tasks.add();
+    t.busy_ns.add(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       --active_;
@@ -120,11 +110,9 @@ void ThreadPool::submit(std::function<void()> task) {
     depth = queue_.size();
   }
   task_cv_.notify_one();
-  if constexpr (obs::kTelemetryEnabled) {
-    PoolTelemetry& t = pool_telemetry();
-    t.queue_depth.set(static_cast<std::int64_t>(depth));
-    t.queue_depth_hwm.set_max(static_cast<std::int64_t>(depth));
-  }
+  PoolTelemetry& t = pool_telemetry();
+  t.queue_depth.set(static_cast<std::int64_t>(depth));
+  t.queue_depth_hwm.set_max(static_cast<std::int64_t>(depth));
 }
 
 void ThreadPool::wait_idle() {

@@ -155,8 +155,6 @@ TEST(BroadcastSimTest, AsymmetricRadiiPhysicalCoverageCountsStormExactly) {
   EXPECT_DOUBLE_EQ(link.delivery_ratio(), 1.0);
 }
 
-#if MLDCS_ENABLE_TELEMETRY
-
 TEST(BroadcastSimTest, AsymmetricScenarioReplayDerivationAgrees) {
   // The same hand-counted numbers must fall out of the event stream: the
   // recorder is a second, independent derivation of the storm metrics.
@@ -190,8 +188,6 @@ TEST(BroadcastSimTest, AsymmetricScenarioReplayDerivationAgrees) {
   ASSERT_EQ(by_tx.size(), 1u);
   EXPECT_EQ(by_tx.front(), (std::pair<net::NodeId, std::uint64_t>{1, 2}));
 }
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 TEST(BroadcastSimTest, TransmissionCountsAreDeterministic) {
   const auto g = random_graph(140, 10, true);

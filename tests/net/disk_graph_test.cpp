@@ -89,22 +89,28 @@ TEST(DiskGraphTest, AdjacencyIsSymmetricAndSorted) {
 }
 
 TEST(DiskGraphTest, AdjacencyMatchesBruteForce) {
-  sim::Xoshiro256 rng(23);
-  std::vector<Node> nodes;
-  for (NodeId i = 0; i < 120; ++i) {
-    nodes.push_back({i, {rng.uniform(0, 8), rng.uniform(0, 8)},
-                     rng.uniform(0.5, 2.5)});
-  }
-  const std::vector<Node> copy = nodes;
-  const DiskGraph g = DiskGraph::build(std::move(nodes));
-  for (NodeId u = 0; u < g.size(); ++u) {
-    std::vector<NodeId> expected;
-    for (NodeId v = 0; v < copy.size(); ++v) {
-      if (v != u && copy[u].linked_to(copy[v])) expected.push_back(v);
+  // 120 nodes build inline; 5000 is above the 4096-node threshold at which
+  // both CSR passes run on sim::default_pool().
+  for (const auto& [count, side] : {std::pair<NodeId, double>{120, 8.0},
+                                   std::pair<NodeId, double>{5000, 32.0}}) {
+    sim::Xoshiro256 rng(23);
+    std::vector<Node> nodes;
+    for (NodeId i = 0; i < count; ++i) {
+      nodes.push_back({i, {rng.uniform(0, side), rng.uniform(0, side)},
+                       rng.uniform(0.5, 2.5)});
     }
-    const auto nb = g.neighbors(u);
-    EXPECT_EQ(std::vector<NodeId>(nb.begin(), nb.end()), expected)
-        << "node " << u;
+    const std::vector<Node> copy = nodes;
+    const DiskGraph g = DiskGraph::build(std::move(nodes));
+    ASSERT_EQ(g.size(), copy.size());
+    for (NodeId u = 0; u < g.size(); ++u) {
+      std::vector<NodeId> expected;
+      for (NodeId v = 0; v < copy.size(); ++v) {
+        if (v != u && copy[u].linked_to(copy[v])) expected.push_back(v);
+      }
+      const auto nb = g.neighbors(u);
+      ASSERT_EQ(std::vector<NodeId>(nb.begin(), nb.end()), expected)
+          << "node " << u << " of " << count;
+    }
   }
 }
 

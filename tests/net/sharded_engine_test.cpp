@@ -287,9 +287,6 @@ TEST(ShardedEngineTest, PositionsOutsideTheDeploymentRectangleStayExact) {
 // --- Events ----------------------------------------------------------------
 
 TEST(ShardedEngineTest, EmitsShardExchangeWithCacheUpdateChild) {
-  if (!obs::kTelemetryEnabled) {
-    GTEST_SKIP() << "event emission requires MLDCS_ENABLE_TELEMETRY";
-  }
   sim::Xoshiro256 rng(31);
   DeploymentParams dp = small_deploy(6.0);
   MobileNetwork net(dp, regimes()[1].wp, rng);

@@ -35,8 +35,6 @@ class EventReplayTest : public ::testing::Test {
   }
 };
 
-#if MLDCS_ENABLE_TELEMETRY
-
 BroadcastResult result_of(const ReplayedBroadcast& r) {
   BroadcastResult out;
   out.transmissions = r.transmissions;
@@ -193,8 +191,6 @@ TEST_F(EventReplayTest, MultipleBroadcastsSegmentCleanly) {
   EXPECT_EQ(replays[0].source, 0u);
   EXPECT_EQ(replays[1].source, 2u);
 }
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 TEST_F(EventReplayTest, EmptyStreamReplaysToNothing) {
   EXPECT_TRUE(replay_broadcasts({}).empty());

@@ -55,8 +55,6 @@ TEST_F(TraceTest, SpansIgnoredWhileStopped) {
   EXPECT_EQ(doc.find("test.should_not_appear"), std::string::npos);
 }
 
-#if MLDCS_ENABLE_TELEMETRY
-
 TEST_F(TraceTest, RecordsCompleteEvents) {
   trace_start();
   EXPECT_TRUE(trace_enabled());
@@ -71,6 +69,21 @@ TEST_F(TraceTest, RecordsCompleteEvents) {
   EXPECT_NE(doc.find("\"dur\":"), std::string::npos);
   EXPECT_NE(doc.find("\"ts\":"), std::string::npos);
   EXPECT_NE(doc.find("\"cat\":\"mldcs\""), std::string::npos);
+}
+
+TEST_F(TraceTest, ControlCharactersInSpanNamesStayValidJson) {
+  trace_start();
+  { const TraceSpan span("test.tab\tand\nnewline\"quote"); }
+  trace_stop();
+
+  const std::string doc = flush_trace();
+  // The only raw control character is the document's trailing newline.
+  ASSERT_EQ(doc.back(), '\n');
+  for (std::size_t i = 0; i + 1 < doc.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(doc[i]), 0x20u) << "at byte " << i;
+  }
+  EXPECT_NE(doc.find("\"test.tab and newline\\\"quote\""),
+            std::string::npos);
 }
 
 TEST_F(TraceTest, FlushClearsBuffers) {
@@ -112,8 +125,6 @@ TEST_F(TraceTest, MultiThreadSpansAllFlushedWithDistinctTids) {
   EXPECT_EQ(count_occurrences(doc, "\"test.worker\""), 8u);
   EXPECT_NE(doc.find("\"tid\":"), std::string::npos);
 }
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 }  // namespace
 }  // namespace mldcs::obs
