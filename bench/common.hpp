@@ -40,12 +40,13 @@ inline constexpr std::size_t kMaxSchemes = 8;
 /// deterministic per (seed, trial) and shared across schemes (every scheme
 /// sees the same point set, as in the paper).
 ///
-/// Pass `pool` to reuse a caller's ThreadPool across sweep points
-/// (otherwise a transient pool is spun up, as before).
+/// Trials run on the caller's `pool`, one pool per bench reused across
+/// sweep points.  Not sim::default_pool(): DiskGraph::build runs on that
+/// pool and must not be called from its workers.
 inline std::vector<std::vector<std::uint64_t>> run_sweep_point(
     const net::DeploymentParams& params,
     const std::vector<bcast::Scheme>& schemes, std::size_t trials,
-    std::uint64_t seed, sim::ThreadPool* pool = nullptr) {
+    std::uint64_t seed, sim::ThreadPool& pool) {
   if (schemes.size() > kMaxSchemes) {
     throw std::invalid_argument("run_sweep_point: too many schemes");
   }
@@ -71,11 +72,7 @@ inline std::vector<std::vector<std::uint64_t>> run_sweep_point(
           bcast::forwarding_set(g, view, schemes[s], ws).size();
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(trials, body);
-  } else {
-    sim::parallel_for(trials, body);
-  }
+  pool.parallel_for(trials, body);
 
   std::vector<std::vector<std::uint64_t>> sizes(
       schemes.size(), std::vector<std::uint64_t>(trials, 0));

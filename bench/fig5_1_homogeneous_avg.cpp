@@ -18,6 +18,7 @@ int main() {
                 "homogeneous networks: avg #forward nodes vs avg #1-hop "
                 "neighbors");
 
+  sim::ThreadPool pool;
   const std::vector<bcast::Scheme> schemes{
       bcast::Scheme::kFlooding, bcast::Scheme::kSkyline,
       bcast::Scheme::kSelectingForwardingSet, bcast::Scheme::kGreedy,
@@ -38,7 +39,8 @@ int main() {
     p.target_avg_degree = n;
     const auto sizes = bench::run_sweep_point(
         p, schemes, bench::kTrials,
-        sim::derive_seed(bench::kMasterSeed, static_cast<std::uint64_t>(n)));
+        sim::derive_seed(bench::kMasterSeed, static_cast<std::uint64_t>(n)),
+        pool);
     std::vector<double> row{n};
     for (std::size_t s = 0; s < schemes.size(); ++s) {
       const double avg = bench::mean_size(sizes[s]);

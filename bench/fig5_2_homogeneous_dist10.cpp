@@ -12,6 +12,7 @@ int main() {
   bench::banner("Figure 5.2",
                 "homogeneous, avg degree 10: distribution of #forward nodes");
 
+  sim::ThreadPool pool;
   const std::vector<bcast::Scheme> schemes{
       bcast::Scheme::kFlooding, bcast::Scheme::kSkyline,
       bcast::Scheme::kSelectingForwardingSet, bcast::Scheme::kGreedy,
@@ -20,7 +21,8 @@ int main() {
   net::DeploymentParams p;
   p.target_avg_degree = 10;
   const auto sizes = bench::run_sweep_point(
-      p, schemes, bench::kTrials, sim::derive_seed(bench::kMasterSeed, 52));
+      p, schemes, bench::kTrials, sim::derive_seed(bench::kMasterSeed, 52),
+      pool);
 
   std::vector<std::string> names;
   std::vector<sim::IntHistogram> hists(schemes.size());

@@ -15,6 +15,7 @@ int main() {
                 "heterogeneous networks (r ~ U[1,2]): avg #forward nodes vs "
                 "avg #1-hop neighbors");
 
+  sim::ThreadPool pool;
   const std::vector<bcast::Scheme> schemes{
       bcast::Scheme::kFlooding, bcast::Scheme::kSkyline,
       bcast::Scheme::kGreedy, bcast::Scheme::kOptimal};
@@ -35,7 +36,8 @@ int main() {
     const auto sizes = bench::run_sweep_point(
         p, schemes, bench::kTrials,
         sim::derive_seed(bench::kMasterSeed,
-                         1000 + static_cast<std::uint64_t>(n)));
+                         1000 + static_cast<std::uint64_t>(n)),
+        pool);
     std::vector<double> row{n};
     for (std::size_t s = 0; s < schemes.size(); ++s) {
       const double avg = bench::mean_size(sizes[s]);

@@ -11,6 +11,7 @@ int main() {
   bench::banner("Figure 5.5",
                 "heterogeneous, avg degree 10: distribution of #forward nodes");
 
+  sim::ThreadPool pool;
   const std::vector<bcast::Scheme> schemes{
       bcast::Scheme::kFlooding, bcast::Scheme::kSkyline,
       bcast::Scheme::kGreedy, bcast::Scheme::kOptimal};
@@ -19,7 +20,8 @@ int main() {
   p.model = net::RadiusModel::kUniform;
   p.target_avg_degree = 10;
   const auto sizes = bench::run_sweep_point(
-      p, schemes, bench::kTrials, sim::derive_seed(bench::kMasterSeed, 55));
+      p, schemes, bench::kTrials, sim::derive_seed(bench::kMasterSeed, 55),
+      pool);
 
   std::vector<std::string> names;
   std::vector<sim::IntHistogram> hists(schemes.size());

@@ -21,14 +21,6 @@ class DiskGraph {
   /// ThreadPool::parallel_for, must not be called from one of its workers.
   static DiskGraph build(std::vector<Node> nodes);
 
-  /// Adopt known adjacency lists (adj[i] = sorted neighbor ids of node i)
-  /// without re-deriving them from geometry — O(edges).  Used by
-  /// DynamicDiskGraph::to_disk_graph to materialize an incrementally
-  /// maintained topology.  Node ids are reassigned to indices; `adj` must
-  /// be symmetric and sorted (unchecked).
-  static DiskGraph from_adjacency(std::vector<Node> nodes,
-                                  std::span<const std::vector<NodeId>> adj);
-
   [[nodiscard]] std::span<const Node> nodes() const noexcept { return nodes_; }
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
   [[nodiscard]] const Node& node(NodeId id) const noexcept { return nodes_[id]; }

@@ -275,14 +275,4 @@ DynamicDiskGraph::apply_moved(
   return delta_;
 }
 
-DiskGraph DynamicDiskGraph::to_disk_graph() const {
-  if (resident_count_ != nodes_.size()) {
-    throw std::logic_error(
-        "DynamicDiskGraph::to_disk_graph: non-resident slots hold stale "
-        "positions; snapshot a graph whose region holds every node");
-  }
-  return DiskGraph::from_adjacency(
-      std::vector<Node>(nodes_.begin(), nodes_.end()), adjacency_);
-}
-
 }  // namespace mldcs::net

@@ -142,12 +142,6 @@ class DynamicDiskGraph {
   /// apply).  Same lifetime rule as the `apply` return value.
   [[nodiscard]] const StepDelta& last_delta() const noexcept { return delta_; }
 
-  /// Materialize the current topology as an immutable CSR `DiskGraph`
-  /// (O(edges) copy of the maintained adjacency — no grid rebuild).
-  /// Requires every node to be resident: a non-resident slot holds a stale
-  /// position, so the snapshot would be meaningless (throws).
-  [[nodiscard]] DiskGraph to_disk_graph() const;
-
  private:
   MLDCS_HOT_PATH const StepDelta& apply_moved(std::span<const Node> current);
   MLDCS_HOT_PATH void classify_movers(std::span<const Node> current);

@@ -15,18 +15,21 @@
 ///    frame — registry counter values *and deltas since the previous
 ///    frame*, gauge levels, histogram count/sum pairs, the per-shard
 ///    load/barrier-wait table (obs/shard_stats.hpp), and the event-log
-///    tail cursor — into a fixed-size slot of a preallocated ring.  Each
-///    slot carries a seqlock-style sequence word (odd while being
-///    written, `2*ticket+2` when published), so a dump taken at any
-///    instant can detect and skip torn frames without ever locking.
+///    tail cursor — into a 4 KB slot of a preallocated SeqRing
+///    (obs/seq_ring.hpp).  Each slot carries a monotonic ticket word
+///    (odd while being written, `2*ticket+2` when published), so a dump
+///    taken at any instant can detect and skip torn frames without ever
+///    locking.  An entry that would overflow the slot is left out whole
+///    and the frame carries `"truncated":true`.
 ///    Heartbeats are driven from the caller's cadence (one per mobility
 ///    period, one per bench section); they allocate (registry snapshot)
 ///    and are explicitly NOT part of the step hot path.
 ///  - **Crash dumper.**  Arming installs SIGSEGV/SIGABRT/SIGBUS handlers
 ///    (saving and re-raising into the previous disposition) that write a
 ///    `mldcs-blackbox-v1` report using only async-signal-safe calls:
-///    open(2)/write(2) of pre-serialized bytes, integer formatting into
-///    stack buffers, atomic loads.  No malloc, no stdio, no locks.
+///    open(2)/write(2) of pre-serialized bytes copied out of SeqRings,
+///    integer formatting into stack buffers, atomic loads.  No malloc,
+///    no stdio, no locks.
 ///    `blackbox_dump_now(reason)` writes the same report from normal
 ///    context — the cache watchdog calls it on a consistency mismatch,
 ///    so the telemetry history *leading up to* the inconsistency is
@@ -42,20 +45,20 @@
 ///   {"kind":"profile","schema":"mldcs-profile-v1",...}       (if armed)
 ///   {"kind":"end","frames":H,"events":E}
 ///
-/// The event tail is captured at heartbeat time into a double buffer (the
-/// Event record carries no thread id, so the tail is the global last-N by
-/// id); the end line's counts let tools/obslib.py detect truncated dumps.
-/// The profile line appears when the sampling profiler (obs/profiler.hpp)
-/// is or was armed: its drain thread pre-serializes phase counts and top
-/// stacks into a double buffer the dumper copies byte-for-byte.
+/// The event tail is captured at heartbeat time into a two-slot SeqRing
+/// (the Event record carries no thread id, so the tail is the global
+/// last-N by id, cut to the newest lines that fit 16 KB); the end line's
+/// counts let tools/obslib.py detect truncated dumps.  The profile line
+/// appears when the sampling profiler (obs/profiler.hpp) is or was armed:
+/// its drain thread pre-serializes phase counts and top stacks into its
+/// own SeqRing, which the dumper copies byte-for-byte.
 
 #include <cstddef>
 #include <cstdint>
 
 namespace mldcs::obs {
 
-/// Blackbox arming parameters.  `path` is copied at arm time and must be
-/// plain ASCII (it is embedded verbatim in pre-serialized JSON).
+/// Blackbox arming parameters.  `path` is copied at arm time.
 struct BlackBoxConfig {
   const char* path = "blackbox.jsonl";  ///< report destination
   std::size_t frames = 64;              ///< heartbeat ring slots (1..256)
@@ -64,8 +67,8 @@ struct BlackBoxConfig {
 };
 
 /// Arm the recorder process-wide.  Returns false (and stays disarmed) if
-/// already armed, the path is unusable (a touch-open fails), or the path
-/// does not fit the fixed internal buffer.  Rearming after
+/// already armed or the path is unusable (empty, or a touch-open
+/// fails).  Rearming after
 /// blackbox_disarm() resets the ring and the delta baseline.
 bool blackbox_arm(const BlackBoxConfig& config);
 

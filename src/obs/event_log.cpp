@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <ostream>
+#include <span>
+#include <string>
 
 #include "core/annotations.hpp"
 #include "obs/thread_buffers.hpp"
@@ -39,6 +41,32 @@ const char* event_type_name(EventType t) noexcept {
   return "unknown";
 }
 
+void append_event_line(std::string& out, const Event& e,
+                       std::string_view lead) {
+  out += '{';
+  out += lead;
+  out += "\"id\":";
+  out += std::to_string(e.id);
+  out += ",\"t\":\"";
+  out += event_type_name(e.type);
+  out += '"';
+  if (e.a != kNoNode) {
+    out += ",\"a\":";
+    out += std::to_string(e.a);
+  }
+  if (e.b != kNoNode) {
+    out += ",\"b\":";
+    out += std::to_string(e.b);
+  }
+  if (e.parent != kNoEvent) {
+    out += ",\"parent\":";
+    out += std::to_string(e.parent);
+  }
+  out += ",\"v\":";
+  out += std::to_string(e.value);
+  out += "}\n";
+}
+
 namespace {
 
 using Buffers = detail::ThreadBuffers<Event>;
@@ -56,12 +84,13 @@ EventState& state() {
   return *s;
 }
 
-void write_event_line(std::ostream& os, const Event& e) {
-  os << "{\"id\":" << e.id << ",\"t\":\"" << event_type_name(e.type) << '"';
-  if (e.a != kNoNode) os << ",\"a\":" << e.a;
-  if (e.b != kNoNode) os << ",\"b\":" << e.b;
-  if (e.parent != kNoEvent) os << ",\"parent\":" << e.parent;
-  os << ",\"v\":" << e.value << "}\n";
+void write_event_lines(std::ostream& os, std::span<const Event> events) {
+  std::string line;
+  for (const Event& e : events) {
+    line.clear();
+    append_event_line(line, e);
+    os << line;
+  }
 }
 
 }  // namespace
@@ -123,7 +152,7 @@ void write_events_jsonl(std::ostream& os) {
   const std::vector<Event> events = events_snapshot();
   os << "{\"schema\":\"mldcs-events-v1\",\"enabled\":true,\"count\":"
      << events.size() << ",\"dropped\":" << events_dropped() << "}\n";
-  for (const Event& e : events) write_event_line(os, e);
+  write_event_lines(os, events);
 }
 
 void write_events_jsonl_tail(std::ostream& os, std::size_t tail) {
@@ -132,9 +161,7 @@ void write_events_jsonl_tail(std::ostream& os, std::size_t tail) {
   os << "{\"schema\":\"mldcs-events-v1\",\"enabled\":"
      << (events_enabled() ? "true" : "false") << ",\"count\":" << n
      << ",\"dropped\":" << events_dropped() << "}\n";
-  for (std::size_t i = events.size() - n; i < events.size(); ++i) {
-    write_event_line(os, events[i]);
-  }
+  write_event_lines(os, std::span<const Event>(events).last(n));
 }
 
 }  // namespace mldcs::obs

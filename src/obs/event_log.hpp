@@ -55,6 +55,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace mldcs::obs {
@@ -121,6 +123,14 @@ void events_clear();
 /// Copy of every buffered event across all threads, sorted by id (== the
 /// emission order).  Does not clear; feed this to obs/event_replay.hpp.
 [[nodiscard]] std::vector<Event> events_snapshot();
+
+/// Append one event as a JSON Lines object,
+/// `{<lead>"id":..,"t":"..",["a":..,]["b":..,]["parent":..,]"v":..}\n`.
+/// With an empty `lead` this is the `mldcs-events-v1` line; the blackbox
+/// passes `"kind":"event",` for its event-tail lines.  The one serializer
+/// of events.
+void append_event_line(std::string& out, const Event& e,
+                       std::string_view lead = {});
 
 /// Write the log as JSON Lines, schema `mldcs-events-v1`: a header object
 /// {"schema":...,"enabled":...,"count":...,"dropped":...} followed by one

@@ -55,20 +55,17 @@ void send_response(int fd, int status, const char* status_text,
 std::string shards_body() {
   std::vector<ShardStat> stats;
   const std::uint64_t step = shard_stats(stats);
-  std::ostringstream os;
-  os << "{\"schema\":\"mldcs-shards-v1\",\"step\":" << step
-     << ",\"count\":" << stats.size() << ",\"shards\":[";
-  bool first = true;
-  for (const ShardStat& s : stats) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"shard\":" << s.shard << ",\"owned\":" << s.owned
-       << ",\"halo\":" << s.halo << ",\"incoming\":" << s.incoming
-       << ",\"dirty\":" << s.dirty << ",\"step_ns\":" << s.step_ns
-       << ",\"barrier_wait_ns\":" << s.barrier_wait_ns << '}';
+  std::string body = "{\"schema\":\"mldcs-shards-v1\",\"step\":";
+  body += std::to_string(step);
+  body += ",\"count\":";
+  body += std::to_string(stats.size());
+  body += ",\"shards\":[";
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    if (i > 0) body += ',';
+    append_shard_json(body, stats[i]);
   }
-  os << "]}\n";
-  return os.str();
+  body += "]}\n";
+  return body;
 }
 
 /// Parse `?tail=N` off an `/events` target; clamp to something a curl

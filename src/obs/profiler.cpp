@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <cxxabi.h>
 #include <mutex>
 #include <thread>
@@ -30,6 +29,7 @@
 
 #include "core/annotations.hpp"
 #include "obs/export.hpp"
+#include "obs/seq_ring.hpp"
 
 // Linux guards SIGEV_THREAD_ID behind __USE_GNU; provide the stable ABI
 // values when the headers hide them (the kernel interface is fixed).
@@ -86,9 +86,10 @@ struct Sample {
   std::atomic<std::uintptr_t> pc[kMaxDepth] = {};
 };
 
-/// Per-thread sampling state.  Leaked on thread exit (alive flips false,
-/// the slot stays) so a late SIGPROF can never touch freed memory — the
-/// same reasoning as the blackbox's leaked State.  Bounded by
+/// Per-thread sampling state.  Never freed: on thread exit alive flips
+/// false and the record waits for the next registering thread to reuse
+/// it, so a late SIGPROF can never touch freed memory — the same
+/// reasoning as the blackbox's leaked State.  Bounded by
 /// kMaxThreads * sizeof(ThreadRec) ~ 4 MB worst case.
 struct ThreadRec {
   pthread_t pth{};
@@ -125,12 +126,9 @@ struct State {
   std::unordered_map<std::uintptr_t, std::string> symcache;  // drain only
   std::atomic<std::uint64_t> sweep_gen{0};  ///< completed drain sweeps
 
-  // Crash-snapshot double buffer: the drain serializes into the
-  // non-current half then publishes the index; profiler_crash_snapshot
-  // copies the current half and re-checks (the blackbox tail pattern).
-  char crash_buf[2][kCrashBytes] = {};
-  std::uint32_t crash_len[2] = {0, 0};
-  std::atomic<unsigned> crash_cur{0};
+  // Crash appendix: the drain publishes the serialized profile line;
+  // profiler_crash_snapshot copies the newest one out.
+  detail::SeqRing<kCrashBytes> crash{2};
 };
 
 /// Raw pointer mirror of the leaked singleton for the async-signal-safe
@@ -260,7 +258,7 @@ void stop_timer_for(ThreadRec* rec) {
 
 /// Thread-exit hook: a function-local thread_local whose destructor tears
 /// the timer down and retires the record before the thread's CPU clock
-/// dies with it.  The record itself is leaked by design.
+/// dies with it.  The record stays for reuse.
 struct ThreadExitGuard {
   ThreadRec* rec;
   ~ThreadExitGuard() {
@@ -272,11 +270,37 @@ struct ThreadExitGuard {
   }
 };
 
+/// A retired record (its thread exited, its timer is gone) with its ring
+/// emptied, or nullptr when every record is live.  The cursors are reset
+/// under fold_mu so the drain never folds the exited thread's stale slots
+/// as the new thread's samples.
+ThreadRec* reuse_retired_locked(State& s) {
+  const std::size_t n = s.nrecs.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < n; ++i) {
+    ThreadRec* rec = s.recs[i];
+    if (rec->alive.load(std::memory_order_acquire) || rec->timer_active) {
+      continue;
+    }
+    const std::scoped_lock fold_lock(s.fold_mu);
+    s.dropped += rec->dropped.exchange(0, std::memory_order_relaxed);
+    rec->head.store(0, std::memory_order_relaxed);
+    rec->tail.store(0, std::memory_order_relaxed);
+    rec->alive.store(true, std::memory_order_release);
+    return rec;
+  }
+  return nullptr;
+}
+
 void register_thread_locked(State& s) {
   if (t_rec != nullptr) return;
-  const std::size_t n = s.nrecs.load(std::memory_order_relaxed);
-  if (n >= kMaxThreads) return;  // over capacity: thread goes unsampled
-  auto* rec = new ThreadRec;     // leaked (see ThreadRec)
+  ThreadRec* rec = reuse_retired_locked(s);
+  if (rec == nullptr) {
+    const std::size_t n = s.nrecs.load(std::memory_order_relaxed);
+    if (n >= kMaxThreads) return;  // every record is live: go unsampled
+    rec = new ThreadRec;  // never freed (see ThreadRec)
+    s.recs[n] = rec;
+    s.nrecs.store(n + 1, std::memory_order_release);
+  }
   rec->pth = pthread_self();
   rec->tid = static_cast<pid_t>(::syscall(SYS_gettid));
   pthread_attr_t attr;
@@ -289,8 +313,6 @@ void register_thread_locked(State& s) {
     }
     pthread_attr_destroy(&attr);
   }
-  s.recs[n] = rec;
-  s.nrecs.store(n + 1, std::memory_order_release);
   t_rec = rec;
   static thread_local ThreadExitGuard guard{rec};
   (void)guard;
@@ -384,8 +406,8 @@ std::uint64_t drain_once(State& s) {
   return folded_now;
 }
 
-/// Refresh the crash-snapshot double buffer from the folded state.
-/// Normal context (allocates freely); the reader side is byte copies.
+/// Publish the crash appendix line from the folded state.  Normal context
+/// (allocates freely); the reader side is byte copies.
 void refresh_crash_snapshot(State& s) {
   std::string doc;
   doc.reserve(2048);
@@ -436,12 +458,7 @@ void refresh_crash_snapshot(State& s) {
     }
     doc += "]}\n";
   }
-  if (doc.size() > kCrashBytes) return;  // cannot happen; belt-and-braces
-  const unsigned cur = s.crash_cur.load(std::memory_order_relaxed);
-  const unsigned nxt = 1 - cur;
-  std::memcpy(s.crash_buf[nxt], doc.data(), doc.size());
-  s.crash_len[nxt] = static_cast<std::uint32_t>(doc.size());
-  s.crash_cur.store(nxt, std::memory_order_release);
+  s.crash.publish(doc);
 }
 
 void drain_loop(State& s) {
@@ -625,16 +642,9 @@ ProfileReport profiler_capture_window(double seconds,
 std::size_t profiler_crash_snapshot(char* dst, std::size_t cap) noexcept {
   State* s = g_state.load(std::memory_order_acquire);
   if (s == nullptr || dst == nullptr) return 0;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const unsigned cur = s->crash_cur.load(std::memory_order_acquire);
-    const std::uint32_t len = s->crash_len[cur];
-    // Whole line or nothing: a truncated JSON object would corrupt the
-    // blackbox report it gets appended to.
-    if (len == 0 || len > cap || len > kCrashBytes) return 0;
-    for (std::uint32_t i = 0; i < len; ++i) dst[i] = s->crash_buf[cur][i];
-    if (s->crash_cur.load(std::memory_order_acquire) == cur) return len;
-  }
-  return 0;  // buffer kept flipping underneath us: give up cleanly
+  // Whole line or nothing: a truncated JSON object would corrupt the
+  // blackbox report it gets appended to.
+  return s->crash.copy_newest(dst, cap);
 }
 
 // ---------------------------------------------------------------------------

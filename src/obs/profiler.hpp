@@ -30,8 +30,8 @@
 ///    flamegraph.pl / speedscope compatible; schema `mldcs-profile-v1`)
 ///    with dladdr symbolization and demangling at fold time, never in
 ///    the handler.  It also pre-serializes a bounded JSON profile line
-///    into a double buffer so a blackbox crash dump can append the
-///    profile using only async-signal-safe byte copies.
+///    into a SeqRing (obs/seq_ring.hpp) so a blackbox crash dump can
+///    append the profile using only async-signal-safe byte copies.
 ///
 /// Surfaces: `/profile?seconds=N&format=folded|json` on the
 /// IntrospectServer, `--profile PATH` on perf_suite and
@@ -158,7 +158,8 @@ void profiler_disarm();
 [[nodiscard]] bool profiler_armed() noexcept;
 
 /// Register the calling thread for sampling.  Idempotent and cheap after
-/// the first call; a no-op beyond the fixed thread capacity (64).  Called
+/// the first call; a no-op while 64 registered threads are all alive
+/// (records of exited threads are reused).  Called
 /// from ThreadPool workers and ShardedEngine construction; call it from
 /// any additional thread that should appear in profiles.  While armed,
 /// registration starts the thread's timer immediately.
@@ -179,7 +180,7 @@ void profiler_register_thread();
 /// Copy the drain thread's pre-serialized `{"kind":"profile",...}\n` line
 /// (one bounded JSON object: hz, totals, phase counts, top stacks) into
 /// `dst`.  Async-signal-safe — byte copies and atomic loads only — and
-/// torn-flip protected; returns bytes written, 0 when nothing has been
+/// never returns a torn copy; returns bytes written, 0 when nothing has been
 /// serialized yet or `cap` is too small.  The blackbox dumper appends
 /// this between the event tail and the end trailer.
 std::size_t profiler_crash_snapshot(char* dst, std::size_t cap) noexcept;

@@ -1,6 +1,7 @@
 #include "obs/shard_stats.hpp"
 
 #include <mutex>
+#include <string>
 #include <utility>
 
 namespace mldcs::obs {
@@ -24,6 +25,24 @@ ProviderState& provider_state() {
 }
 
 }  // namespace
+
+void append_shard_json(std::string& out, const ShardStat& s) {
+  out += "{\"shard\":";
+  out += std::to_string(s.shard);
+  out += ",\"owned\":";
+  out += std::to_string(s.owned);
+  out += ",\"halo\":";
+  out += std::to_string(s.halo);
+  out += ",\"incoming\":";
+  out += std::to_string(s.incoming);
+  out += ",\"dirty\":";
+  out += std::to_string(s.dirty);
+  out += ",\"step_ns\":";
+  out += std::to_string(s.step_ns);
+  out += ",\"barrier_wait_ns\":";
+  out += std::to_string(s.barrier_wait_ns);
+  out += '}';
+}
 
 void set_shard_stats_provider(const void* owner, ShardStatsFn fn) {
   ProviderState& s = provider_state();

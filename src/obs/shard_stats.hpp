@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace mldcs::obs {
@@ -38,6 +39,12 @@ struct ShardStat {
   std::uint64_t step_ns = 0;          ///< parallel-phase duration last step
   std::uint64_t barrier_wait_ns = 0;  ///< idle time behind the slowest shard
 };
+
+/// Append `s` as one `mldcs-shards-v1` record,
+/// `{"shard":..,"owned":..,"halo":..,"incoming":..,"dirty":..,
+/// "step_ns":..,"barrier_wait_ns":..}` — the one serializer of shard
+/// records, shared by `/shards` and blackbox heartbeat frames.
+void append_shard_json(std::string& out, const ShardStat& s);
 
 /// Fills `out` (cleared first) with one entry per shard and returns the
 /// engine's step count at publish time.

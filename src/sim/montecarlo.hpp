@@ -7,7 +7,6 @@
 /// regardless of the thread schedule).
 
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -17,42 +16,21 @@
 
 namespace mldcs::sim {
 
-/// Run `trials` repetitions of `experiment(rng, trial_index)` and return the
-/// per-trial results in trial order.  Each trial gets an independent,
-/// deterministic RNG stream.  Statically dispatched on the callable; the
-/// result type T is deduced from the experiment's return type.
+/// Run `trials` repetitions of `experiment(rng, trial_index)` on `pool`
+/// and return the per-trial results in trial order.  Each trial gets an
+/// independent, deterministic RNG stream.  Statically dispatched on the
+/// callable; the result type T is deduced from the experiment's return
+/// type.
 template <typename F,
           typename T = std::remove_cvref_t<
               std::invoke_result_t<F&, Xoshiro256&, std::size_t>>>
 [[nodiscard]] std::vector<T> run_trials(std::uint64_t seed, std::size_t trials,
-                                        F&& experiment,
-                                        std::size_t threads = 0) {
+                                        F&& experiment, ThreadPool& pool) {
   std::vector<T> results(trials);
-  parallel_for(
-      trials,
-      [&](std::size_t k) {
-        Xoshiro256 rng(derive_seed(seed, k));
-        results[k] = experiment(rng, k);
-      },
-      threads);
-  return results;
-}
-
-/// Type-erased overload, kept for ABI users (and for callers that name T
-/// explicitly, e.g. run_trials<double>(...)).
-template <typename T>
-[[nodiscard]] std::vector<T> run_trials(
-    std::uint64_t seed, std::size_t trials,
-    const std::function<T(Xoshiro256&, std::size_t)>& experiment,
-    std::size_t threads = 0) {
-  std::vector<T> results(trials);
-  parallel_for(
-      trials,
-      [&](std::size_t k) {
-        Xoshiro256 rng(derive_seed(seed, k));
-        results[k] = experiment(rng, k);
-      },
-      threads);
+  pool.parallel_for(trials, [&](std::size_t k) {
+    Xoshiro256 rng(derive_seed(seed, k));
+    results[k] = experiment(rng, k);
+  });
   return results;
 }
 

@@ -215,15 +215,6 @@ class ThreadPool {
   std::exception_ptr first_error_;              // guarded by mutex_
 };
 
-/// One-shot convenience: parallel_for on a transient pool (or inline when
-/// the machine has a single core — the common case for this repo's CI).
-/// Statically dispatched on the callable, like ThreadPool::parallel_for.
-template <typename F>
-void parallel_for(std::size_t n, F&& body, std::size_t threads = 0) {
-  ThreadPool pool(threads);
-  pool.parallel_for(n, body);
-}
-
 /// Process-wide shared pool, created on first use, destroyed at exit.  The
 /// hook for steady-state loops — mobility maintenance, repeated sweeps —
 /// that should reuse one set of workers across steps instead of paying

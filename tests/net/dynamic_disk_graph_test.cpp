@@ -113,12 +113,12 @@ TEST(DynamicDiskGraphTest, ToDiskGraphReflectsIncrementalState) {
   sim::Xoshiro256 rng(13);
   std::vector<Node> nodes = generate_deployment(small_deploy(), rng);
   DynamicDiskGraph dyn{std::vector<Node>(nodes)};
-  // Shuffle a few nodes around, then materialize.
+  // Shuffle a few nodes around, then compare with a from-scratch build.
   for (std::size_t i = 0; i < nodes.size(); i += 7) {
     nodes[i].pos = {rng.uniform(0.0, 12.5), rng.uniform(0.0, 12.5)};
   }
   dyn.apply(nodes);
-  const DiskGraph snap = dyn.to_disk_graph();
+  const DiskGraph snap = DiskGraph::build(nodes);
   ASSERT_EQ(snap.size(), dyn.size());
   EXPECT_EQ(snap.edge_count(), dyn.edge_count());
   for (NodeId u = 0; u < dyn.size(); ++u) {

@@ -18,6 +18,7 @@
 
 #include "obs/telemetry.hpp"
 #include "obs/watchdog.hpp"
+#include "support/json_check.hpp"
 
 namespace mldcs::obs {
 namespace {
@@ -46,6 +47,14 @@ std::uint64_t newest_heartbeat_step(const std::string& doc) {
   const std::size_t at = doc.find("\"step\":", frame);
   if (at == std::string::npos) return 0;
   return std::strtoull(doc.c_str() + at + 7, nullptr, 10);
+}
+
+/// The report's lines, without their terminators.
+std::vector<std::string> lines_of(const std::string& doc) {
+  std::vector<std::string> out;
+  std::istringstream in(doc);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
 }
 
 class BlackBoxTest : public ::testing::Test {
@@ -167,6 +176,57 @@ TEST_F(BlackBoxTest, WatchdogMismatchTriggersDump) {
   const std::string doc = slurp(path);
   EXPECT_NE(doc.find("\"reason\":\"watchdog\""), std::string::npos);
   EXPECT_GE(count_of(doc, "{\"kind\":\"heartbeat\""), 1u);
+}
+
+TEST_F(BlackBoxTest, ControlCharactersInMetricNamesStayValidJson) {
+  const std::string path = temp_path("bb_escape.jsonl");
+  BlackBoxConfig cfg;
+  cfg.path = path.c_str();
+  cfg.install_signal_handlers = false;
+  ASSERT_TRUE(blackbox_arm(cfg));
+
+  registry().counter("bbtest.\"quoted\"\nname").add(2);
+  blackbox_heartbeat(1);
+  ASSERT_TRUE(blackbox_dump_now("test"));
+
+  const std::vector<std::string> lines = lines_of(slurp(path));
+  ASSERT_GE(lines.size(), 3u);  // header, one frame, end
+  for (const std::string& line : lines) {
+    EXPECT_TRUE(test::is_strict_json(line)) << line;
+  }
+  EXPECT_EQ(count_of(slurp(path), "{\"kind\":\"heartbeat\""), 1u);
+}
+
+// Enough counters to overflow one 4 KB frame: every frame must still be
+// valid JSON made of whole entries, flagged "truncated":true.
+TEST_F(BlackBoxTest, FrameOverflowKeepsWholeEntriesAndFlagsTruncation) {
+  const std::string path = temp_path("bb_overflow.jsonl");
+  BlackBoxConfig cfg;
+  cfg.path = path.c_str();
+  cfg.install_signal_handlers = false;
+  ASSERT_TRUE(blackbox_arm(cfg));
+
+  // "zz." sorts after every other metric name, so the cut falls inside
+  // these counters.
+  for (int i = 0; i < 200; ++i) {
+    registry().counter("zz.bbtest.overflow." + std::to_string(1000 + i)).add(
+        static_cast<std::uint64_t>(i));
+  }
+  for (std::uint64_t step = 1; step <= 3; ++step) blackbox_heartbeat(step);
+  ASSERT_TRUE(blackbox_dump_now("test"));
+
+  std::size_t frames = 0;
+  for (const std::string& line : lines_of(slurp(path))) {
+    EXPECT_TRUE(test::is_strict_json(line)) << line;
+    if (line.rfind("{\"kind\":\"heartbeat\"", 0) != 0) continue;
+    ++frames;
+    EXPECT_LE(line.size() + 1, 4096u);
+    EXPECT_NE(line.find(",\"truncated\":true}"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"zz.bbtest.overflow.1000\":[0,"),
+              std::string::npos);
+    EXPECT_EQ(line.find("\"zz.bbtest.overflow.1199\""), std::string::npos);
+  }
+  EXPECT_EQ(frames, 3u);
 }
 
 // The acceptance-criterion crash test: a child process (threadsafe death

@@ -142,6 +142,30 @@ TEST_F(ProfilerTest, CaptureWindowSamplesRegisteredWorker) {
       << "the worker's tagged loop must appear in the window";
 }
 
+// Thread records are reused once their thread exits: after more thread
+// starts than the 64-record capacity (never more than two alive at
+// once), a fresh thread must still be sampled.
+TEST_F(ProfilerTest, ExitedThreadRecordsAreReused) {
+  for (int i = 0; i < 70; ++i) {
+    std::thread t([] { profiler_register_thread(); });
+    t.join();
+  }
+
+  ProfilerConfig cfg;
+  cfg.hz = 500;
+  ASSERT_TRUE(profiler_arm(cfg));
+  std::thread worker([] {
+    profiler_register_thread();
+    const PhaseScope phase(Phase::kHaloExchange);
+    EXPECT_NE(spin_for_ms(300), 0u);
+  });
+  worker.join();
+  profiler_disarm();
+
+  EXPECT_GT(phase_count(profiler_report(), "halo_exchange"), 0u)
+      << "a thread registered after 70 exited ones must get a record";
+}
+
 // The crash-snapshot line is refreshed by every drain sweep (including
 // the final one at disarm), so after a sampled window it must be a
 // bounded, newline-terminated {"kind":"profile",...} JSON line.

@@ -118,9 +118,9 @@ TEST(ThreadPoolTest, ResultsIndependentOfThreadCount) {
   // parallelism level (the determinism contract).
   const auto run = [](std::size_t threads) {
     std::vector<double> out(500);
-    parallel_for(
-        500, [&](std::size_t i) { out[i] = static_cast<double>(i) * 1.5; },
-        threads);
+    ThreadPool pool(threads);
+    pool.parallel_for(
+        500, [&](std::size_t i) { out[i] = static_cast<double>(i) * 1.5; });
     return std::accumulate(out.begin(), out.end(), 0.0);
   };
   const double t1 = run(1);
