@@ -27,6 +27,8 @@ namespace {
 struct SkylineTelemetry {
   obs::Counter& calls = obs::registry().counter("skyline.calls");
   obs::Counter& disks_in = obs::registry().counter("skyline.disks_in");
+  obs::Counter& sector_rejects =
+      obs::registry().counter("skyline.sector_rejects");
   obs::Counter& prefilter_rejects =
       obs::registry().counter("skyline.prefilter_rejects");
   obs::Counter& merge_levels = obs::registry().counter("skyline.merge_levels");
@@ -46,7 +48,8 @@ SkylineTelemetry& skyline_telemetry() {
 /// Merge span even under tolerant comparisons, so dropping it leaves the
 /// output bit-identical.  Disks closer than the margin to coincident or
 /// internally tangent (duplicate_set, tangent_pair) are deliberately kept,
-/// preserving the engine's tie-break behavior on degenerate inputs.
+/// preserving the engine's tie-break behavior on degenerate inputs.  The
+/// sector-envelope prefilter scales it by the set's largest radius.
 constexpr double kDominanceMargin = 1e-6;
 
 /// Cap on containment tests per disk.  The prefilter scans potential
@@ -96,6 +99,25 @@ void sort_order_keys(
 
 }  // namespace
 
+namespace detail {
+
+MLDCS_HOT_PATH MLDCS_NO_LOCK std::size_t sector_envelope_prefilter(
+    const geom::DiskSoA& soa, geom::Vec2 o,
+    const geom::simd::SkylineKernels& kernels, std::vector<double>& hi,
+    std::uint8_t* drop) {
+  const std::size_t n = soa.count;
+  const std::size_t np = soa.padded_size();
+  double r_max = 0.0;
+  for (std::size_t i = 0; i < n; ++i) r_max = std::max(r_max, soa.r[i]);
+  hi.resize(geom::simd::kSectors * np);
+  kernels.sector_prefilter(np, soa.cx.data(), soa.cy.data(), soa.r.data(),
+                           o.x, o.y, kDominanceMargin * r_max, hi.data(),
+                           drop);
+  return static_cast<std::size_t>(std::count(drop, drop + n, 1));
+}
+
+}  // namespace detail
+
 MLDCS_ALLOC_OK void SkylineWorkspace::reserve(std::size_t n_disks) {
   // Lemma 8: any level's concatenated partial skylines total <= 2n arcs
   // (each partial skyline of k disks has <= 2k arcs); Merge's raw Step-2
@@ -105,11 +127,12 @@ MLDCS_ALLOC_OK void SkylineWorkspace::reserve(std::size_t n_disks) {
   scratch_.reserve(n_disks);
   soa_.reserve(n_disks);
   filt_.reserve(n_disks);
+  sector_hi_.reserve(geom::simd::kSectors * geom::DiskSoA::padded(n_disks));
   zeros_.reserve(n_disks);
   order_.reserve(n_disks);
   order_alt_.reserve(n_disks);
   live_.reserve(n_disks);
-  dom_.reserve(n_disks);
+  dom_.reserve(geom::DiskSoA::padded(n_disks));
 }
 
 void SkylineWorkspace::clear() noexcept {
@@ -118,6 +141,7 @@ void SkylineWorkspace::clear() noexcept {
   scratch_ = {};
   soa_ = {};
   filt_ = {};
+  sector_hi_ = {};
   zeros_ = {};
   order_ = {};
   order_alt_ = {};
@@ -138,13 +162,24 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
 
   const geom::simd::SkylineKernels& kernels = geom::simd::active_kernels();
 
-  // Dominated-disk prefilter: a disk strictly inside another (by more than
-  // kDominanceMargin) contributes no skyline arc, so it can skip the merge
-  // levels entirely.  In the paper's heterogeneous deployments (radii
-  // U[1,2], neighbors within min(r_u, r_v)) a large share of small disks
-  // are swallowed by bigger neighbors, and each dropped disk saves O(log n)
-  // Merge passes over its arcs.  Scanning containers largest-radius-first
-  // lets each disk stop at the first disk too small to contain it; the
+  // Sector-envelope prefilter (Corollary 2: each ray crosses the union's
+  // boundary once, at the largest radial distance): a disk whose radial
+  // upper bound trails the largest lower bound of the set in every one of
+  // kSectors fixed sectors around the relay owns no skyline arc.  One
+  // batch kernel bounds every disk; on the paper's deployments about half
+  // the disks go here, before any exact work.
+  ws.soa_.assign(disks);
+  ws.dom_.resize(ws.soa_.padded_size());
+  const std::size_t sector_rejects = detail::sector_envelope_prefilter(
+      ws.soa_, o, kernels, ws.sector_hi_, ws.dom_.data());
+
+  // Dominated-disk prefilter over the sector survivors: a disk strictly
+  // inside another (by more than kDominanceMargin) contributes no skyline
+  // arc either.  In the paper's heterogeneous deployments (radii U[1,2],
+  // neighbors within min(r_u, r_v)) many small disks are swallowed by
+  // bigger neighbors, and each dropped disk saves O(log n) Merge passes
+  // over its arcs.  Scanning containers largest-radius-first lets each
+  // disk stop at the first disk too small to contain it; the
   // accepted containers live in a sentinel-padded DiskSoA so the batch
   // kernel tests a whole lane block per step with the verdict taken at the
   // lowest-index lane — identical to the sequential scan, cap included.
@@ -154,14 +189,14 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
   // dependent.  Packed as one lexicographic (u64, u32) key: positive
   // finite doubles order by their bit patterns, so ~bits(radius) sorts
   // radius-descending exactly, and the sort never touches the disk array.
-  ws.order_.resize(n);
+  ws.order_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    ws.order_[i] = {~std::bit_cast<std::uint64_t>(disks[i].radius),
-                    static_cast<std::uint32_t>(i)};
+    if (ws.dom_[i] != 0) continue;
+    ws.order_.emplace_back(~std::bit_cast<std::uint64_t>(disks[i].radius),
+                           static_cast<std::uint32_t>(i));
   }
   sort_order_keys(ws.order_, ws.order_alt_);
-  ws.filt_.assign_sentinels(n);
-  ws.dom_.assign(n, 0);
+  ws.filt_.assign_sentinels(ws.order_.size());
   for (const auto& [key, idx] : ws.order_) {
     const geom::Disk& di = disks[idx];
     if (!kernels.prefilter_dominated(
@@ -267,7 +302,8 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
   SkylineTelemetry& t = skyline_telemetry();
   t.calls.add();
   t.disks_in.add(n);
-  t.prefilter_rejects.add(n - ws.live_.size());
+  t.sector_rejects.add(sector_rejects);
+  t.prefilter_rejects.add(n - sector_rejects - n_live);
   t.merge_levels.add(levels);
   t.level_arcs_hwm.set_max(static_cast<std::int64_t>(level_arcs_max));
 

@@ -26,9 +26,28 @@
 #include "core/skyline.hpp"
 #include "geometry/disk.hpp"
 #include "geometry/disk_soa.hpp"
+#include "geometry/simd.hpp"
 #include "geometry/vec2.hpp"
 
 namespace mldcs::core {
+
+namespace detail {
+
+/// Sector-envelope prefilter over the disks of `soa` around relay `o`
+/// (geom::simd::SectorPrefilterFn, margin = the dominance margin times the
+/// set's largest radius): sets drop[i] = 1 for every disk whose radial
+/// upper bound trails the envelope in every sector, else 0, and returns
+/// the number dropped.  A dropped disk lies strictly inside the union of
+/// the others along every ray from `o`, so it owns no skyline arc
+/// (docs/PERFORMANCE.md).  Disks that do not contain `o` are always kept.
+/// `hi` is per-sector scratch (resized here); `drop` holds
+/// soa.padded_size() bytes.
+MLDCS_HOT_PATH MLDCS_NO_LOCK std::size_t sector_envelope_prefilter(
+    const geom::DiskSoA& soa, geom::Vec2 o,
+    const geom::simd::SkylineKernels& kernels, std::vector<double>& hi,
+    std::uint8_t* drop);
+
+}  // namespace detail
 
 /// Reusable scratch for the iterative skyline engine: two ping-pong
 /// starts-only level buffers (each holding a whole level of partial
@@ -65,6 +84,7 @@ class SkylineWorkspace {
   detail::MergeLevelScratch scratch_; ///< batched Merge task arrays
   geom::DiskSoA soa_;                 ///< live disks, live-local order
   geom::DiskSoA filt_;                ///< prefilter containers, radius-desc
+  std::vector<double> sector_hi_;     ///< sector-envelope upper bounds
   detail::ZeroCutTable zeros_;        ///< per-live-disk boundary-relay cuts
   /// Prefilter scan order: (~radius-bits, index) keys whose ascending sort
   /// is exactly radius-descending then index-ascending.  `order_alt_` is
@@ -72,7 +92,7 @@ class SkylineWorkspace {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> order_;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> order_alt_;
   std::vector<std::uint32_t> live_;   ///< prefilter: surviving indices
-  std::vector<std::uint8_t> dom_;     ///< prefilter: dominated verdicts
+  std::vector<std::uint8_t> dom_;     ///< prefilters: dropped verdicts
 };
 
 /// Compute the skyline of a local disk set around relay `o` with the

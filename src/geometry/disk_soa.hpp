@@ -82,6 +82,12 @@ struct DiskSoA {
     ++count;
   }
 
+  /// Bulk-load every disk of `disks`, sentinel-padded.
+  void assign(std::span<const Disk> disks) {
+    assign_sentinels(disks.size());
+    for (const Disk& d : disks) push(d.center.x, d.center.y, d.radius);
+  }
+
   /// Bulk-load a subset of `disks` selected by `idx`, sentinel-padded.
   void assign_subset(std::span<const Disk> disks,
                      std::span<const std::uint32_t> idx) {

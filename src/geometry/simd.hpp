@@ -5,11 +5,11 @@
 ///
 /// The divide-and-conquer skyline engine batches its per-span geometry —
 /// circle-circle intersection, cut-angle finalization (atan2 + unit
-/// vector), paired radial-distance evaluation, and the dominated-disk
-/// prefilter — into flat task arrays (see geom::DiskSoA) and runs each
-/// batch through one of these kernels.  Every kernel is implemented once,
-/// templated over a lane-width policy (simd_kernels_impl.hpp), and
-/// instantiated per ISA:
+/// vector), paired radial-distance evaluation, the dominated-disk
+/// prefilter, and the sector-envelope prefilter — into flat task arrays
+/// (see geom::DiskSoA) and runs each batch through one of these kernels.
+/// Every kernel is implemented once, templated over a lane-width policy
+/// (simd_kernels_impl.hpp), and instantiated per ISA:
 ///
 ///   * "scalar" — width-1 emulation, always compiled in.  This is the
 ///     differential reference: it executes the exact same operation
@@ -20,10 +20,10 @@
 ///
 /// Bit-identity contract: kernels use only elementwise correctly-rounded
 /// IEEE-754 double operations (add/sub/mul/div/sqrt/abs/compare/select) in
-/// an identical order across policies, never reduce across lanes, and the
-/// kernel translation units are built with -ffp-contract=off so the
-/// compiler cannot fuse a mul+add into an FMA on one policy but not
-/// another.  Consequently scalar and SIMD dispatch produce byte-identical
+/// an identical order across policies, reduce across lanes only by an
+/// exact max (sector_prefilter's envelope), and the kernel translation
+/// units are built with -ffp-contract=off so the compiler cannot fuse a
+/// mul+add into an FMA on one policy but not another.  Consequently scalar and SIMD dispatch produce byte-identical
 /// outputs, which the engine turns into byte-identical skyline arcs.
 ///
 /// Dispatch order: the `MLDCS_SIMD` environment variable ("off" or
@@ -31,6 +31,7 @@
 /// else scalar.  The choice is made once per process.
 
 #include <cstddef>
+#include <cstdint>
 
 namespace mldcs::geom::simd {
 
@@ -110,7 +111,33 @@ using PrefilterFn = bool (*)(double cx, double cy, double r,
                              const double* lr, std::size_t n, double margin,
                              int max_checks);
 
-/// One ISA's kernel set.  All four entries always come from the same
+/// Number of fixed angular sectors of the sector-envelope prefilter.
+/// Sector k spans the angles [2*pi*k/kSectors, 2*pi*(k+1)/kSectors]
+/// around the relay.
+inline constexpr std::size_t kSectors = 16;
+
+/// Sector-envelope prefilter for disks (cx, cy, r)[i] around relay
+/// (ox, oy), `n` a kBatchPad multiple (sentinel-padded DiskSoA).  For each
+/// disk i and sector k the kernel bounds disk i's radial distance rho_i
+/// over the sector, lo_ik <= rho_i(theta) <= hi_ik, and sets drop[i] = 1
+/// iff hi_ik < max_j lo_jk - margin in every sector (else 0): such a disk
+/// trails the envelope at every angle.  With the relay inside the disk
+/// (d = |c - o| <= r), rho is non-increasing in the angular distance from
+/// the center direction, so each bound is rho at one of the sector's two
+/// boundary rays, or d + r (hi) / r - d (lo) when the center direction /
+/// its antipode lies in the sector — decided by the signs of two cross
+/// products, no atan2.  Lanes with d^2 > r^2 (relay outside the disk) or a
+/// negative radius (padding) get hi = +inf and lo = -inf, so they are never
+/// dropped and never raise the envelope.  `hi` is kSectors * n scratch,
+/// row k at [k * n, (k + 1) * n), left holding the upper bounds.  The one
+/// cross-lane step, the per-sector max of lo, is exact in any order, so
+/// verdicts are byte-identical across ISAs.
+using SectorPrefilterFn = void (*)(std::size_t n, const double* cx,
+                                   const double* cy, const double* r,
+                                   double ox, double oy, double margin,
+                                   double* hi, std::uint8_t* drop);
+
+/// One ISA's kernel set.  All five entries always come from the same
 /// policy instantiation, so mixing is impossible.
 struct SkylineKernels {
   const char* name;  ///< "scalar", "avx2", or "neon"
@@ -118,6 +145,7 @@ struct SkylineKernels {
   CutFinalizeFn cut_finalize;
   RhoPairsFn rho_pairs;
   PrefilterFn prefilter_dominated;
+  SectorPrefilterFn sector_prefilter;
 };
 
 /// The width-1 reference kernels (always available).

@@ -17,14 +17,18 @@
 ///
 /// Every operation used here is an elementwise correctly-rounded IEEE-754
 /// double op, applied in the same order by every policy, with no cross-lane
-/// arithmetic — so two policies produce byte-identical outputs lane for
-/// lane.  The TUs are compiled with -ffp-contract=off, which keeps the
-/// compiler from fusing mul+add chains into FMAs on one policy but not
-/// another (GCC contracts by default); see docs/PERFORMANCE.md.
+/// arithmetic beyond sector_prefilter's max reduction (exact in any order)
+/// — so two policies produce byte-identical outputs lane for lane.  The
+/// TUs are compiled with -ffp-contract=off, which keeps the compiler from
+/// fusing mul+add chains into FMAs on one policy but not another (GCC
+/// contracts by default); see docs/PERFORMANCE.md.
 
 #include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 
+#include "core/annotations.hpp"
 #include "geometry/angle.hpp"
 #include "geometry/simd.hpp"
 #include "geometry/tolerance.hpp"
@@ -48,6 +52,21 @@ inline constexpr double kAtanPoly[9] = {
 inline constexpr double kTanPi8 = 4.14213562373095034e-01;  // tan(pi/8)
 inline constexpr double kHalfPi = geom::kPi / 2.0;
 inline constexpr double kQuarterPi = geom::kPi / 4.0;
+
+/// Boundary rays of the sector-envelope prefilter, first half circle:
+/// (cos, sin) of 2*pi*b/16, b = 0..7, as correctly rounded literals, so
+/// the table needs no libm.  Ray b + 8 is the exact negation of ray b.  A
+/// sector is just the cone between two consecutive rays, so the tiling
+/// needs no exact angles, and the rays are unit to within an ulp, far
+/// inside the prefilter's margin (core/skyline_dc.cpp).
+static_assert(kSectors == 16, "the ray table below spells out 8 + 8 rays");
+inline constexpr double kCosPi8 = 9.23879532511286738e-01;  // cos(pi/8)
+inline constexpr double kSinPi8 = 3.82683432365089782e-01;  // sin(pi/8)
+inline constexpr double kSqrtHalf = 7.07106781186547573e-01;
+inline constexpr double kSectorUx[kSectors / 2] = {
+    1.0, kCosPi8, kSqrtHalf, kSinPi8, 0.0, -kSinPi8, -kSqrtHalf, -kCosPi8};
+inline constexpr double kSectorUy[kSectors / 2] = {
+    0.0, kSinPi8, kSqrtHalf, kCosPi8, 1.0, kCosPi8, kSqrtHalf, kSinPi8};
 
 template <class P>
 struct BatchKernels {
@@ -397,6 +416,99 @@ struct BatchKernels {
     }
     return false;
   }
+
+  // -- sector_prefilter ----------------------------------------------------
+  // Pass 1, per lane block: rho along each of the kSectors boundary rays
+  // u_b,
+  //   rho_b = dot(rel, u_b) + sqrt(max(r^2 - c_b^2, 0)),
+  // with c_b = cross(u_b, rel) = d sin(phi - theta_b).  Ray b + 8 = -u_b
+  // negates dot and c exactly and shares the sqrt, so eight square roots
+  // serve sixteen rays.  Sector k lies between rays k and k+1 (< pi wide),
+  // so it holds the center direction phi iff c_k >= 0 >= c_{k+1}, and the
+  // antipode iff c_k <= 0 <= c_{k+1}.  Otherwise rho is monotone across
+  // the sector and its extremes sit on the two boundary rays.  Ray
+  // kSectors wraps to ray 0.  Upper bounds go to `hi`; lower bounds only
+  // feed a lane-wise running envelope.  Then each sector's envelope is
+  // reduced across lanes — a max, exact in any order — and pass 2 drops
+  // the lanes whose upper bound trails the floor in every sector.
+  MLDCS_HOT_PATH MLDCS_NO_LOCK static void sector_prefilter(
+      std::size_t n, const double* cx, const double* cy, const double* r,
+      double ox, double oy, double margin, double* hi,
+      std::uint8_t* drop) noexcept {
+    constexpr std::size_t kHalf = kSectors / 2;
+    const V zero = P::broadcast(0.0);
+    const V inf = P::broadcast(std::numeric_limits<double>::infinity());
+    const V ninf = P::neg(inf);
+    const V vox = P::broadcast(ox);
+    const V voy = P::broadcast(oy);
+    V envelope[kSectors];
+    for (V& e : envelope) e = ninf;
+    for (std::size_t i = 0; i < n; i += W) {
+      const V vr = P::load(r + i);
+      const V r2 = P::mul(vr, vr);
+      V relx = P::sub(P::load(cx + i), vox);
+      V rely = P::sub(P::load(cy + i), voy);
+      const V d2 = P::add(P::mul(relx, relx), P::mul(rely, rely));
+      const M valid = P::m_and(P::le(zero, vr), P::le(d2, r2));
+      const V d = P::sqrt(d2);
+      // rho at the center direction / its antipode.  Invalid lanes get
+      // rel = 0, which puts both in every sector (all c_b are zero), so
+      // they take hi = +inf and lo = -inf without a per-sector select.
+      const V top = P::select(valid, P::add(d, vr), inf);
+      const V bottom = P::select(valid, P::sub(vr, d), ninf);
+      relx = P::select(valid, relx, zero);
+      rely = P::select(valid, rely, zero);
+
+      V rho[kSectors];
+      M nonneg[kSectors];  // c_b >= 0
+      M nonpos[kSectors];  // c_b <= 0
+      for (std::size_t b = 0; b < kHalf; ++b) {
+        const V ux = P::broadcast(kSectorUx[b]);
+        const V uy = P::broadcast(kSectorUy[b]);
+        const V c = P::sub(P::mul(ux, rely), P::mul(uy, relx));
+        const V dot = P::add(P::mul(ux, relx), P::mul(uy, rely));
+        const V rad = P::sub(r2, P::mul(c, c));
+        const V root = P::sqrt(P::select(P::lt(rad, zero), zero, rad));
+        rho[b] = P::add(dot, root);
+        rho[b + kHalf] = P::sub(root, dot);
+        nonneg[b] = P::le(zero, c);
+        nonpos[b] = P::le(c, zero);
+        nonneg[b + kHalf] = nonpos[b];
+        nonpos[b + kHalf] = nonneg[b];
+      }
+      for (std::size_t k = 0; k < kSectors; ++k) {
+        const std::size_t j = (k + 1) % kSectors;
+        const M rising = P::lt(rho[k], rho[j]);
+        const V h = P::select(P::m_and(nonneg[k], nonpos[j]), top,
+                              P::select(rising, rho[j], rho[k]));
+        const V l = P::select(P::m_and(nonpos[k], nonneg[j]), bottom,
+                              P::select(rising, rho[k], rho[j]));
+        P::store(hi + k * n + i, h);
+        envelope[k] = P::select(P::lt(envelope[k], l), l, envelope[k]);
+      }
+    }
+
+    V floor[kSectors];
+    for (std::size_t k = 0; k < kSectors; ++k) {
+      double lanes[W];
+      P::store(lanes, envelope[k]);
+      double e = lanes[0];
+      for (std::size_t j = 1; j < W; ++j) e = lanes[j] > e ? lanes[j] : e;
+      floor[k] = P::broadcast(e - margin);
+    }
+
+    const M all_true = P::le(zero, zero);
+    for (std::size_t i = 0; i < n; i += W) {
+      M trails = all_true;
+      for (std::size_t k = 0; k < kSectors; ++k) {
+        trails = P::m_and(trails, P::lt(P::load(hi + k * n + i), floor[k]));
+      }
+      const unsigned bits = P::to_bits(trails);
+      for (std::size_t j = 0; j < W; ++j) {
+        drop[i + j] = static_cast<std::uint8_t>((bits >> j) & 1u);
+      }
+    }
+  }
 };
 
 /// Assemble one policy's kernels into a dispatch-table entry.
@@ -406,7 +518,8 @@ template <class P>
   return SkylineKernels{name, &BatchKernels<P>::circle_isect,
                         &BatchKernels<P>::cut_finalize,
                         &BatchKernels<P>::rho_pairs,
-                        &BatchKernels<P>::prefilter_dominated};
+                        &BatchKernels<P>::prefilter_dominated,
+                        &BatchKernels<P>::sector_prefilter};
 }
 
 }  // namespace mldcs::geom::simd::detail

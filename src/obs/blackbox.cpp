@@ -11,6 +11,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -57,12 +58,22 @@ void write_u64(int fd, std::uint64_t v) noexcept {
   safe_write(fd, buf, n);
 }
 
-/// strlen stand-in: a byte loop, so the dump path provably calls nothing
-/// outside the async-signal-safe set.
-std::size_t safe_len(const char* s) noexcept {
+/// write(2) `text` as the body of a JSON string, escaped as json_escape
+/// does (quote and backslash get a backslash, control characters become a
+/// space), through a stack buffer: no allocation, no strlen.
+void write_json_escaped(int fd, const char* text) noexcept {
+  char buf[256];
   std::size_t n = 0;
-  while (s[n] != '\0') ++n;
-  return n;
+  for (; *text != '\0'; ++text) {
+    if (n + 2 > sizeof(buf)) {
+      safe_write(fd, buf, n);
+      n = 0;
+    }
+    const char c = *text;
+    if (c == '"' || c == '\\') buf[n++] = '\\';
+    buf[n++] = static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
+  }
+  safe_write(fd, buf, n);
 }
 
 /// The signals the crash handler covers, and their report reasons.
@@ -91,7 +102,9 @@ struct State {
   // Shared with the dump path: atomics, plus strings and rings set up
   // before `armed` is published.
   std::atomic<bool> armed{false};
-  std::atomic<int> dumping{0};  ///< collapses concurrent/reentrant dumps
+  /// Collapses concurrent/reentrant dumps, and keeps dumps out while
+  /// blackbox_arm rebuilds the state below.
+  std::atomic<int> dumping{0};
   std::atomic<std::uint64_t> heartbeats{0};
   std::string path;
   std::string header;  ///< pre-serialized up to ...,"reason":"
@@ -114,11 +127,16 @@ State& state() {
 /// frames written, or -1 when disarmed / already dumping / the file
 /// cannot be opened.
 long dump_impl(State& s, const char* reason) noexcept {
-  if (!s.armed.load(std::memory_order_acquire)) return -1;
+  // The flag comes first: blackbox_arm holds it while it rebuilds the
+  // path, header and rings, so once it is ours the armed state stays put.
   int expected = 0;
   if (!s.dumping.compare_exchange_strong(expected, 1,
                                          std::memory_order_acq_rel)) {
-    return -1;  // another dump in flight; it owns the file
+    return -1;  // another dump or a re-arm in flight
+  }
+  if (!s.armed.load(std::memory_order_acquire)) {
+    s.dumping.store(0, std::memory_order_release);
+    return -1;
   }
   const int fd = ::open(s.path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -128,7 +146,7 @@ long dump_impl(State& s, const char* reason) noexcept {
 
   // Header: pre-serialized prefix + reason + close.
   safe_write(fd, s.header.data(), s.header.size());
-  safe_write(fd, reason, safe_len(reason));
+  write_json_escaped(fd, reason);
   safe_write(fd, "\"}\n", 3);
 
   const std::size_t written = s.frames->for_each_oldest_first(
@@ -209,6 +227,15 @@ bool blackbox_arm(const BlackBoxConfig& config) {
   const int fd = ::open(config.path, O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) return false;
   ::close(fd);
+
+  // A dump that passed its checks before a disarm may still be reading
+  // the path, header and rings; take its flag before replacing them.
+  int idle = 0;
+  while (!s.dumping.compare_exchange_weak(idle, 1,
+                                          std::memory_order_acquire)) {
+    idle = 0;
+    std::this_thread::yield();
+  }
   s.path = config.path;
 
   const std::size_t n =
@@ -244,6 +271,7 @@ bool blackbox_arm(const BlackBoxConfig& config) {
   }
 
   s.armed.store(true, std::memory_order_release);
+  s.dumping.store(0, std::memory_order_release);
   return true;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <ostream>
 #include <span>
 #include <string>
@@ -84,15 +85,6 @@ EventState& state() {
   return *s;
 }
 
-void write_event_lines(std::ostream& os, std::span<const Event> events) {
-  std::string line;
-  for (const Event& e : events) {
-    line.clear();
-    append_event_line(line, e);
-    os << line;
-  }
-}
-
 }  // namespace
 
 void events_start(std::size_t capacity) {
@@ -148,20 +140,22 @@ std::vector<Event> events_snapshot() {
   return out;
 }
 
-void write_events_jsonl(std::ostream& os) {
-  const std::vector<Event> events = events_snapshot();
-  os << "{\"schema\":\"mldcs-events-v1\",\"enabled\":true,\"count\":"
-     << events.size() << ",\"dropped\":" << events_dropped() << "}\n";
-  write_event_lines(os, events);
-}
-
 void write_events_jsonl_tail(std::ostream& os, std::size_t tail) {
   const std::vector<Event> events = events_snapshot();
   const std::size_t n = std::min(tail, events.size());
   os << "{\"schema\":\"mldcs-events-v1\",\"enabled\":"
      << (events_enabled() ? "true" : "false") << ",\"count\":" << n
      << ",\"dropped\":" << events_dropped() << "}\n";
-  write_event_lines(os, std::span<const Event>(events).last(n));
+  std::string line;
+  for (const Event& e : std::span<const Event>(events).last(n)) {
+    line.clear();
+    append_event_line(line, e);
+    os << line;
+  }
+}
+
+void write_events_jsonl(std::ostream& os) {
+  write_events_jsonl_tail(os, std::numeric_limits<std::size_t>::max());
 }
 
 }  // namespace mldcs::obs

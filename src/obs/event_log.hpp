@@ -133,8 +133,9 @@ void append_event_line(std::string& out, const Event& e,
                        std::string_view lead = {});
 
 /// Write the log as JSON Lines, schema `mldcs-events-v1`: a header object
-/// {"schema":...,"enabled":...,"count":...,"dropped":...} followed by one
-/// event object per line, in id order.  Does not clear the buffers.
+/// {"schema":...,"enabled":...,"count":...,"dropped":...} ("enabled" is
+/// events_enabled()) followed by one event object per line, in id order.
+/// Does not clear the buffers.
 void write_events_jsonl(std::ostream& os);
 
 /// Same document restricted to the `tail` highest-id events (the header's

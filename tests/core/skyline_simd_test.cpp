@@ -23,11 +23,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/skyline_dc.hpp"
+#include "core/skyline_reference.hpp"
 #include "geometry/angle.hpp"
 #include "geometry/disk.hpp"
+#include "geometry/disk_soa.hpp"
+#include "net/disk_graph.hpp"
+#include "net/topology.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/rng.hpp"
 
 namespace mldcs::core {
@@ -201,6 +207,284 @@ TEST(SkylineSimdTest, RandomizedDegenerateFuzz) {
     expect_bit_identical(disks, {0.0, 0.0},
                          "fuzz rep " + std::to_string(rep));
   }
+}
+
+// --- Sector-envelope prefilter ----------------------------------------------
+
+struct SectorVerdicts {
+  std::vector<std::uint8_t> drop;  ///< one verdict per disk
+  std::vector<double> hi;          ///< per-sector upper bounds (padded rows)
+  std::size_t dropped = 0;
+};
+
+SectorVerdicts sector_verdicts(const std::vector<geom::Disk>& disks,
+                               geom::Vec2 o,
+                               const simd::SkylineKernels& kernels) {
+  geom::DiskSoA soa;
+  soa.assign(disks);
+  SectorVerdicts v;
+  v.drop.assign(soa.padded_size(), 0xff);
+  v.dropped = detail::sector_envelope_prefilter(soa, o, kernels, v.hi,
+                                                v.drop.data());
+  v.drop.resize(disks.size());
+  return v;
+}
+
+/// Runtime dispatch and the scalar reference must agree bit for bit on
+/// every bound and verdict.
+void expect_same_sector_verdicts(const std::vector<geom::Disk>& disks,
+                                 geom::Vec2 o, const std::string& label) {
+  const SectorVerdicts a = sector_verdicts(disks, o, simd::active_kernels());
+  const SectorVerdicts s = sector_verdicts(disks, o, simd::scalar_kernels());
+  ASSERT_EQ(a.hi.size(), s.hi.size()) << label;
+  for (std::size_t i = 0; i < a.hi.size(); ++i) {
+    ASSERT_EQ(bits(a.hi[i]), bits(s.hi[i])) << label << ": bound " << i;
+  }
+  EXPECT_EQ(a.drop, s.drop) << label;
+  EXPECT_EQ(a.dropped, s.dropped) << label;
+}
+
+/// No dropped disk may own a skyline arc: check against the brute-force
+/// envelope, which shares no code with the prefilter or Merge.
+void expect_drops_off_skyline(const std::vector<geom::Disk>& disks,
+                              geom::Vec2 o, const std::string& label) {
+  const SectorVerdicts v = sector_verdicts(disks, o, simd::active_kernels());
+  const Skyline brute = compute_skyline_bruteforce(disks, o);
+  for (const std::size_t idx : brute.skyline_set()) {
+    EXPECT_EQ(v.drop[idx], 0) << label << ": dropped disk " << idx
+                              << " owns a brute-force skyline arc";
+  }
+}
+
+/// A relay's local disk set around the origin: the relay's own disk plus
+/// n - 1 neighbors within min(r_relay, r_v), radii from [r_lo, r_hi].
+std::vector<geom::Disk> local_set(sim::Xoshiro256& rng, std::size_t n,
+                                  double r_lo, double r_hi) {
+  std::vector<geom::Disk> disks;
+  const double r0 = rng.uniform(r_lo, r_hi);
+  disks.push_back({{0.0, 0.0}, r0});
+  while (disks.size() < n) {
+    const double radius = rng.uniform(r_lo, r_hi);
+    const double reach = std::min(r0, radius);
+    const geom::Vec2 c{rng.uniform(-reach, reach), rng.uniform(-reach, reach)};
+    if (c.x * c.x + c.y * c.y > reach * reach) continue;
+    disks.push_back({c, radius});
+  }
+  return disks;
+}
+
+/// de Berg et al.'s narrow-strip layouts: equal radii, every center inside
+/// a strip of width `w` through the relay, so the centers are nearly
+/// collinear and most boundaries cross at grazing angles.
+std::vector<geom::Disk> narrow_strip(sim::Xoshiro256& rng, std::size_t n,
+                                     double w) {
+  std::vector<geom::Disk> disks;
+  disks.push_back({{0.0, 0.0}, 1.0});
+  while (disks.size() < n) {
+    const geom::Vec2 c{rng.uniform(-1.0, 1.0), rng.uniform(0.0, w)};
+    if (c.x * c.x + c.y * c.y <= 1.0) disks.push_back({c, 1.0});
+  }
+  return disks;
+}
+
+/// The degenerate corpus, each layout beside its label.
+std::vector<std::pair<std::string, std::vector<geom::Disk>>>
+sector_corpus() {
+  std::vector<std::pair<std::string, std::vector<geom::Disk>>> corpus;
+  sim::Xoshiro256 rng(0x5EC708ULL);
+  for (int rep = 0; rep < 20; ++rep) {
+    const std::string tag = " rep " + std::to_string(rep);
+    std::vector<geom::Disk> base = local_set(rng, 24, 1.0, 2.0);
+
+    std::vector<geom::Disk> coincident = base;  // duplicates and stacks
+    coincident.push_back(base[3]);
+    coincident.push_back(base[3]);
+    coincident.push_back({base[5].center, base[5].radius * 0.9999999});
+    corpus.emplace_back("coincident" + tag, std::move(coincident));
+
+    std::vector<geom::Disk> tangent = base;  // internally tangent pairs
+    tangent.push_back({{0.25, 0.0}, 0.5});   // inside the next one...
+    tangent.push_back({{0.1, 0.0}, 0.65});   // ...touching it at (0.75, 0)
+    tangent.push_back({{0.0, 0.5}, base[0].radius + 0.5});  // holds disk 0
+    corpus.emplace_back("tangent" + tag, std::move(tangent));
+
+    std::vector<geom::Disk> boundary = base;  // relay on a disk boundary
+    boundary.push_back({{0.75, 0.0}, 0.75});
+    boundary.push_back({{0.0, -1.5}, 1.5});
+    corpus.emplace_back("boundary" + tag, std::move(boundary));
+
+    std::vector<geom::Disk> centered = base;  // d = 0, several radii
+    centered.push_back({{0.0, 0.0}, 0.5});
+    centered.push_back({{0.0, 0.0}, 1.99});
+    corpus.emplace_back("d=0" + tag, std::move(centered));
+
+    corpus.emplace_back("equal radii" + tag, local_set(rng, 37, 1.0, 1.0));
+    corpus.emplace_back("narrow band" + tag, narrow_band(rng, 30));
+    corpus.emplace_back("strip 1e-3" + tag, narrow_strip(rng, 30, 1e-3));
+    corpus.emplace_back("strip 1e-9" + tag, narrow_strip(rng, 30, 1e-9));
+  }
+  return corpus;
+}
+
+TEST(SkylineSimdTest, SectorVerdictsMatchScalarOnRandomSets) {
+  sim::Xoshiro256 rng(0x5EC7012ULL);
+  for (int rep = 0; rep < 50; ++rep) {
+    const std::size_t n =
+        1 + static_cast<std::size_t>(rng.uniform(0.0, 60.0));
+    const std::vector<geom::Disk> disks = local_set(rng, n, 1.0, 2.0);
+    const geom::Vec2 shift{rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)};
+    std::vector<geom::Disk> moved = disks;
+    for (geom::Disk& d : moved) d.center = d.center + shift;
+    expect_same_sector_verdicts(disks, {0.0, 0.0},
+                                "random rep " + std::to_string(rep));
+    expect_same_sector_verdicts(moved, shift,
+                                "shifted rep " + std::to_string(rep));
+  }
+}
+
+TEST(SkylineSimdTest, SectorVerdictsMatchScalarOnDegenerateCorpus) {
+  for (const auto& [label, disks] : sector_corpus()) {
+    expect_same_sector_verdicts(disks, {0.0, 0.0}, label);
+  }
+}
+
+TEST(SkylineSimdTest, SectorPrefilterKeepsEverySkylineDiskOfTheCorpus) {
+  for (const auto& [label, disks] : sector_corpus()) {
+    expect_drops_off_skyline(disks, {0.0, 0.0}, label);
+  }
+}
+
+TEST(SkylineSimdTest, SectorUpperBoundsHoldAcrossEachSector) {
+  // hi[k] must bound the radial distance at every angle of sector k, the
+  // sector that holds the disk's center direction included.
+  sim::Xoshiro256 rng(0xB0D5ULL);
+  constexpr std::size_t kSectors = simd::kSectors;
+  for (int rep = 0; rep < 20; ++rep) {
+    const std::vector<geom::Disk> disks = local_set(rng, 13, 1.0, 2.0);
+    const SectorVerdicts v =
+        sector_verdicts(disks, {0.0, 0.0}, simd::active_kernels());
+    const std::size_t stride = v.hi.size() / kSectors;
+    for (std::size_t i = 0; i < disks.size(); ++i) {
+      const long double cx = disks[i].center.x;
+      const long double cy = disks[i].center.y;
+      const long double r = disks[i].radius;
+      for (std::size_t k = 0; k < kSectors; ++k) {
+        for (int t = 0; t <= 64; ++t) {
+          const long double theta =
+              geom::kTwoPi * (static_cast<long double>(k) + t / 64.0L) /
+              static_cast<long double>(kSectors);
+          const long double ux = std::cos(theta);
+          const long double uy = std::sin(theta);
+          const long double across = cx * uy - cy * ux;
+          const long double rho =
+              cx * ux + cy * uy + std::sqrt(r * r - across * across);
+          EXPECT_LE(static_cast<double>(rho),
+                    v.hi[k * stride + i] + 1e-12 * disks[i].radius)
+              << "rep " << rep << " disk " << i << " sector " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(SkylineSimdTest, SectorPrefilterKeepsPeaksInsideASector) {
+  // Two tight layouts, rotated so the peak visits every part of every
+  // sector.  (a) A disk whose center direction lies inside a sector pokes
+  // 1e-3 past a unit circle around the relay: its true maximum, not the
+  // sector's boundary rays, must bound it.  (b) A circle of radius 0.502
+  // around the relay beats a big disk only near that disk's antipode,
+  // where the big disk dips to r - d = 0.5: the antipode, not the
+  // boundary rays, must give the big disk's lower bound.
+  for (int t = 0; t < 64; ++t) {
+    const double phi = (t + 0.5) * geom::kTwoPi / 64.0;
+    const geom::Vec2 u{std::cos(phi), std::sin(phi)};
+    const std::string tag = "phi " + std::to_string(phi);
+    const std::vector<geom::Disk> peak = {{{0.0, 0.0}, 1.0},
+                                          {{0.5 * u.x, 0.5 * u.y}, 0.501}};
+    const std::vector<geom::Disk> dip = {{{-0.5 * u.x, -0.5 * u.y}, 1.0},
+                                         {{0.0, 0.0}, 0.502}};
+    for (const auto& [label, disks] :
+         {std::pair{"peak " + tag, peak}, std::pair{"dip " + tag, dip}}) {
+      const SectorVerdicts v =
+          sector_verdicts(disks, {0.0, 0.0}, simd::active_kernels());
+      EXPECT_EQ(v.dropped, 0u) << label;
+      expect_drops_off_skyline(disks, {0.0, 0.0}, label);
+    }
+  }
+}
+
+TEST(SkylineSimdTest, SectorPrefilterKeepsDisksMissingTheRelay) {
+  // The local-disk premise violated (d > r): such a disk is kept, and it
+  // must not raise the envelope either, so a disk it would cover stays.
+  const std::vector<geom::Disk> disks = {
+      {{0.0, 0.0}, 1.0},   // the relay's disk
+      {{3.0, 0.0}, 2.5},   // misses the relay, covers disk 2 to the right
+      {{0.9, 0.0}, 0.95},  // pokes out of disk 0 only near +x
+  };
+  const SectorVerdicts v =
+      sector_verdicts(disks, {0.0, 0.0}, simd::active_kernels());
+  EXPECT_EQ(v.drop, (std::vector<std::uint8_t>{0, 0, 0}));
+}
+
+TEST(SkylineSimdTest, SectorPrefilterKeepsEverySkylineDiskOfDeployments) {
+  // A few hundred relays of both radius models, at the paper's density.
+  for (const auto model :
+       {net::RadiusModel::kHomogeneous, net::RadiusModel::kUniform}) {
+    net::DeploymentParams p;
+    p.model = model;
+    p.target_avg_degree = 36.8;
+    sim::Xoshiro256 rng(0xB00DULL);
+    const net::DiskGraph g =
+        net::DiskGraph::build(net::generate_deployment(p, rng));
+    std::vector<geom::Disk> disks;
+    for (net::NodeId id = 0; id < g.size(); id += 8) {
+      disks.clear();
+      disks.push_back(g.node(id).disk());
+      for (const net::NodeId v : g.neighbors(id)) {
+        disks.push_back(g.node(v).disk());
+      }
+      expect_drops_off_skyline(disks, g.node(id).pos,
+                               "relay " + std::to_string(id));
+    }
+  }
+}
+
+TEST(SkylineSimdTest, SectorPrefilterHalvesLiveDisksAtEqualRadii) {
+  // Equal radii defeat the containment prefilter: before the sector pass
+  // every one of the ~37 disks per relay reached the Merge levels.
+  net::DeploymentParams p;
+  p.model = net::RadiusModel::kHomogeneous;
+  p.target_avg_degree = 36.8;
+  p.side = 25.0;
+  sim::Xoshiro256 rng(0xE0A1ULL);
+  const net::DiskGraph g =
+      net::DiskGraph::build(net::generate_deployment(p, rng));
+  obs::Registry& reg = obs::registry();
+  const auto read = [&reg](const char* name) {
+    return reg.counter(name).value();
+  };
+  const std::uint64_t calls0 = read("skyline.calls");
+  const std::uint64_t in0 = read("skyline.disks_in");
+  const std::uint64_t sector0 = read("skyline.sector_rejects");
+  const std::uint64_t contain0 = read("skyline.prefilter_rejects");
+  SkylineWorkspace ws;
+  std::vector<geom::Disk> disks;
+  std::vector<Arc> arcs;
+  for (net::NodeId id = 0; id < g.size(); id += 4) {
+    disks.clear();
+    disks.push_back(g.node(id).disk());
+    for (const net::NodeId v : g.neighbors(id)) {
+      disks.push_back(g.node(v).disk());
+    }
+    compute_skyline_arcs(disks, g.node(id).pos, ws, arcs);
+  }
+  const double calls = static_cast<double>(read("skyline.calls") - calls0);
+  const double live = static_cast<double>(
+      (read("skyline.disks_in") - in0) - (read("skyline.sector_rejects") -
+                                          sector0) -
+      (read("skyline.prefilter_rejects") - contain0));
+  ASSERT_GT(calls, 0.0);
+  EXPECT_LE(live / calls, 22.0);
 }
 
 TEST(SkylineSimdTest, DispatchRespectsEnvironmentOverride) {

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -195,6 +197,52 @@ TEST_F(BlackBoxTest, ControlCharactersInMetricNamesStayValidJson) {
     EXPECT_TRUE(test::is_strict_json(line)) << line;
   }
   EXPECT_EQ(count_of(slurp(path), "{\"kind\":\"heartbeat\""), 1u);
+}
+
+TEST_F(BlackBoxTest, ReasonWithQuoteAndControlCharactersStaysValidJson) {
+  const std::string path = temp_path("bb_reason.jsonl");
+  BlackBoxConfig cfg;
+  cfg.path = path.c_str();
+  cfg.install_signal_handlers = false;
+  ASSERT_TRUE(blackbox_arm(cfg));
+  ASSERT_TRUE(blackbox_dump_now("a\"b\nc"));
+
+  const std::vector<std::string> lines = lines_of(slurp(path));
+  ASSERT_GE(lines.size(), 2u);  // header, end
+  EXPECT_TRUE(test::is_strict_json(lines.front())) << lines.front();
+  EXPECT_NE(lines.front().find("\"reason\":\"a\\\"b c\"}"),
+            std::string::npos)
+      << lines.front();
+}
+
+// A dump may pass its checks just before a disarm; the re-arm that
+// follows must not replace the path, header or frame ring under it.
+TEST_F(BlackBoxTest, RearmWhileDumpingIsSafe) {
+  const std::string path = temp_path("bb_rearm.jsonl");
+  BlackBoxConfig cfg;
+  cfg.path = path.c_str();
+  cfg.install_signal_handlers = false;
+  ASSERT_TRUE(blackbox_arm(cfg));
+
+  std::atomic<bool> stop{false};
+  std::thread dumper([&stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      static_cast<void>(blackbox_dump_now("rearm"));
+    }
+  });
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    blackbox_disarm();
+    cfg.frames = i % 2 == 0 ? 4 : 8;  // a new frame ring on every re-arm
+    ASSERT_TRUE(blackbox_arm(cfg));
+    blackbox_heartbeat(i);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  dumper.join();
+
+  ASSERT_TRUE(blackbox_dump_now("final"));
+  for (const std::string& line : lines_of(slurp(path))) {
+    EXPECT_TRUE(test::is_strict_json(line)) << line;
+  }
 }
 
 // Enough counters to overflow one 4 KB frame: every frame must still be

@@ -135,5 +135,21 @@ TEST_F(EventLogTest, StopFreezesTheLogWithoutClearingIt) {
   EXPECT_EQ(events_snapshot().size(), 1u);
 }
 
+TEST_F(EventLogTest, BothSurfacesReportTheCollectionState) {
+  // write_events_jsonl and the /events tail share one header writer.
+  const auto tail = [] {
+    std::ostringstream os;
+    write_events_jsonl_tail(os, 8);
+    return os.str();
+  };
+  events_start();
+  static_cast<void>(emit_event(EventType::kTx, 1, kNoNode, kNoEvent, 0));
+  EXPECT_NE(dump_jsonl().find("\"enabled\":true"), std::string::npos);
+  EXPECT_NE(tail().find("\"enabled\":true"), std::string::npos);
+  events_stop();
+  EXPECT_NE(dump_jsonl().find("\"enabled\":false"), std::string::npos);
+  EXPECT_NE(tail().find("\"enabled\":false"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace mldcs::obs
